@@ -17,7 +17,6 @@ import click
 import numpy as np
 
 from . import analysis, operators
-from .polya import AdmissibilityError
 from .reports import GridSpec, dump_json, write_curves_csv
 
 DEFAULT_POINTS = 10001
@@ -168,7 +167,8 @@ def cmd_scan(mode, n_range, c_mode, bound, fn, fn_csv, op, points, out, curves_c
 @click.option("--conjecture", is_flag=True, help="monotonicity-in-c exploration")
 @click.option("--n", "n_range", default="2..40", show_default=True)
 @click.option("--points", type=int, default=2001, show_default=True)
-@click.option("--c-samples", type=int, default=DEFAULT_C_SAMPLES, show_default=True)
+@click.option("--c-samples", type=click.IntRange(min=1), default=DEFAULT_C_SAMPLES,
+              show_default=True)
 @click.option("--out", "out", type=click.Path(), default=None)
 @click.option("--workers", type=int, default=None)
 def cmd_verify(lemma, kozniewska, n6, conjecture, n_range, points, c_samples, out, workers):
@@ -243,7 +243,7 @@ def main(argv: list[str] | None = None) -> None:
         sys.exit(exc.exit_code)
     except click.Abort:
         sys.exit(2)
-    except (AdmissibilityError, ValueError, ZeroDivisionError, OSError) as exc:
+    except Exception as exc:  # bad input that no narrower check caught
         click.echo(_error_object(type(exc).__name__, str(exc)), err=True)
         sys.exit(2)
 

@@ -87,12 +87,25 @@ def function_from_samples(xs: Sequence[float], fx: Sequence[float], name: str = 
 
 def function_from_csv(path: str) -> FunctionSpec:
     """Load a sampled-table function from CSV with header ``x,fx``."""
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["x", "fx"]:
             raise ValueError(f"expected CSV header 'x,fx' in {path}, got {header}")
-        rows = [(float(row[0]), float(row[1])) for row in reader if row]
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path} line {reader.line_num}"
+            if len(row) != 2:
+                raise ValueError(f"{where}: expected 2 values x,fx, got {len(row)}: {row}")
+            try:
+                x, fx = float(row[0]), float(row[1])
+            except ValueError:
+                raise ValueError(f"{where}: values must be numbers, got {row}") from None
+            if not (math.isfinite(x) and math.isfinite(fx)):
+                raise ValueError(f"{where}: values must be finite, got {row}")
+            rows.append((x, fx))
     if not rows:
         raise ValueError(f"no samples in {path}")
     xs, fx = zip(*rows)

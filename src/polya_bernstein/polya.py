@@ -1,5 +1,8 @@
 """Polya-Eggenberger urn distribution: validation, pmf, moments, and
-truncated first moments (Kozniewska closed form plus a brute-force twin).
+truncated first moments (Kozniewska closed form plus a brute-force twin),
+with the rising factorial x^(k,c) = x (x+c) ... (x+(k-1)c) both in log
+space (:func:`log_rising`) and as cumulative products
+(:func:`rising_products`).
 
 Parameters (n, a, b, c) describe n draws from an urn with initial white
 weight a, black weight b, and replacement increment c; c = 0 is binomial,
@@ -19,8 +22,11 @@ __all__ = [
     "AdmissibilityError",
     "PolyaParams",
     "validate",
+    "validate_sweep",
     "pmf",
     "pmf_matrix",
+    "log_rising",
+    "rising_products",
     "moments",
     "truncated_first_moment",
 ]
@@ -31,6 +37,13 @@ BOUNDARY_SLACK = 1e-14
 
 _SUM_TOL = 1e-12
 _NEG_TOL = 1e-15
+
+# log_rising sums Stirling's series from this base u = x/|c| upward and
+# takes the (at most _STIRLING_MIN + 1) factors below it one by one.
+_STIRLING_MIN = 12.0
+# B_2m / (2m (2m-1)) for m = 1..6; the first omitted term, z^-13 / 156, is
+# below 1e-16 for z >= _STIRLING_MIN.
+_STIRLING_COEF = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
 
 class AdmissibilityError(ValueError):
@@ -73,6 +86,15 @@ def validate(params: PolyaParams, slack: float = BOUNDARY_SLACK) -> None:
         )
 
 
+def validate_sweep(n: int, x: np.ndarray, c: np.ndarray) -> None:
+    """:func:`validate` for every column of the family (n, x, 1-x, c)."""
+    lhs = np.minimum(x, 1.0 - x) + (n - 1) * c
+    if np.any(lhs < -BOUNDARY_SLACK):
+        raise AdmissibilityError(
+            f"min{{x,1-x}} + (n-1)c = {lhs.min()} < 0 somewhere in the sweep"
+        )
+
+
 def pmf(params: PolyaParams) -> np.ndarray:
     """Probability mass function, entries k = 0..n.
 
@@ -111,6 +133,32 @@ def pmf(params: PolyaParams) -> np.ndarray:
     return probs
 
 
+def rising_products(n: int, x: np.ndarray, c: np.ndarray):
+    """Rising factorials of the family (n, x, 1-x, c) as cumulative products.
+
+    x and c are 1-D arrays of equal length M.  Returns (cum_a, cum_b, den)
+    with cum_a[k] = x^(k,c) and cum_b[m] = (1-x)^(m,c), both shaped
+    (n+1, M), and den = 1^(n,c) shaped (M,).  Each product is accumulated
+    in place, factor by factor; this is the reference route that the
+    log-space :func:`log_rising` is checked against.
+    """
+    validate_sweep(n, x, c)
+    ic = np.arange(n, dtype=float)[:, None] * c[None, :]
+    cum_a = np.empty((n + 1, x.size))
+    cum_b = np.empty((n + 1, x.size))
+    cum_a[0] = 1.0
+    cum_b[0] = 1.0
+    np.add(x[None, :], ic, out=cum_a[1:])          # factor i of x^(k,c)
+    np.add((1.0 - x)[None, :], ic, out=cum_b[1:])  # factor i of (1-x)^(m,c)
+    fd = np.add(1.0, ic, out=ic)                   # factor i of 1^(n,c)
+    if np.any(fd == 0.0):
+        raise ZeroDivisionError("denominator factor 1 + i*c vanishes in the sweep")
+    den = np.prod(fd, axis=0)
+    np.multiply.accumulate(cum_a[1:], axis=0, out=cum_a[1:])
+    np.multiply.accumulate(cum_b[1:], axis=0, out=cum_b[1:])
+    return cum_a, cum_b, den
+
+
 def pmf_matrix(n: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Vectorized pmf for parameter family (n, x, 1-x, c), shape (n+1, len(x)).
 
@@ -119,29 +167,86 @@ def pmf_matrix(n: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     path would dominate the runtime; agrees with :func:`pmf` to ~1e-15.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    c = np.broadcast_to(np.asarray(c, dtype=float), x.shape).copy()
+    c = np.broadcast_to(np.asarray(c, dtype=float), x.shape)
     if np.any(x < -BOUNDARY_SLACK) or np.any(x > 1 + BOUNDARY_SLACK):
         raise AdmissibilityError("x must lie in [0,1]")
-    lhs = np.minimum(x, 1.0 - x) + (n - 1) * c
-    if np.any(lhs < -BOUNDARY_SLACK):
-        raise AdmissibilityError(
-            f"min{{x,1-x}} + (n-1)c = {lhs.min()} < 0 somewhere in the sweep"
-        )
-    i = np.arange(n, dtype=float)[:, None]
-    fa = x[None, :] + i * c[None, :]          # factor i of a^(k,c)
-    fb = (1.0 - x)[None, :] + i * c[None, :]  # factor i of b^(m,c)
-    fd = 1.0 + i * c[None, :]
-    if np.any(fd == 0.0):
-        raise ZeroDivisionError("denominator factor 1 + i*c vanishes in the sweep")
-    ones = np.ones((1, x.size))
-    cum_a = np.vstack([ones, np.cumprod(fa, axis=0)])  # cum_a[k] = a^(k,c)
-    cum_b = np.vstack([ones, np.cumprod(fb, axis=0)])
-    den = np.prod(fd, axis=0)
+    cum_a, cum_b, den = rising_products(n, x, c)
     binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    probs = binom[:, None] * cum_a * cum_b[::-1] / den
+    probs = np.multiply(binom[:, None], cum_a, out=cum_a)
+    probs *= cum_b[::-1]
+    probs /= den
     if probs.min() < -_NEG_TOL:
         raise ArithmeticError(f"pmf entry {probs.min()} below rounding tolerance")
-    return np.clip(probs, 0.0, 1.0)
+    return np.clip(probs, 0.0, 1.0, out=probs)
+
+
+def _stirling_tail(z: np.ndarray) -> np.ndarray:
+    """lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2 for z >= _STIRLING_MIN."""
+    inv = 1.0 / z
+    w = inv * inv
+    s = np.full_like(z, _STIRLING_COEF[-1])
+    for a in _STIRLING_COEF[-2::-1]:
+        s = s * w + a
+    return s * inv
+
+
+def log_rising(x, k, c) -> np.ndarray:
+    """log x^(k,c) = log x(x+c)...(x+(k-1)c), elementwise over broadcast
+    arrays x >= 0, integer k >= 0 and c with x + (k-1)c >= 0.
+
+    Written as k log x + sum_{i<k} log1p(i c/x).  With u = x/|c| the sum is
+    a log-gamma ratio, log Gamma(y+m)/Gamma(y) - m log u over a run of m
+    factors starting at base y (y = u rising, y = u-k+1 falling), taken as
+    a Stirling difference in log1p form: unlike a plain lgamma difference,
+    which loses ~eps * u log u, its error does not grow with u, so tiny |c|
+    is safe.  Factors whose base lies below _STIRLING_MIN are logged one by
+    one as log(x + i c), the same floating-point factor
+    :func:`rising_products` multiplies, and a factor that is <= 0 there
+    (the admissibility boundary) gives -inf, i.e. an exact 0 product.
+    c = 0 gives k log x; k = 0 gives 0.
+
+    The result is within a few ulps of the true log, so a product formed
+    from several such logs has relative error ~eps times their magnitude:
+    ~1e-13 for k <= 400 and |c| <= 1/(k-1), up to ~1e-12 when k c is in
+    the thousands.
+    """
+    x, k, c = np.broadcast_arrays(
+        np.asarray(x, dtype=float), np.asarray(k), np.asarray(c, dtype=float)
+    )
+    kf = k.astype(float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.where(k > 0, kf * np.log(x), 0.0)
+        u = x / np.abs(c)
+    # u = inf: c = 0, or |c| so small that every log1p(i c/x) rounds to 0
+    sel = (k > 0) & (x > 0.0) & np.isfinite(u)
+    if not np.any(sel):
+        return out
+    xs, ks, cs, u = x[sel], kf[sel], c[sel], u[sel]
+    rising = cs > 0.0
+    # Rising: factors i < j are exact, the run i = j..k-1 starts at u + j.
+    # Falling: the run i < m ends at base u - m + 1 >= _STIRLING_MIN, the
+    # factors i = m..k-1 are exact.
+    j = np.clip(np.ceil(_STIRLING_MIN - u), 0.0, ks)
+    m = np.where(rising, ks - j, np.clip(np.floor(u - _STIRLING_MIN) + 1.0, 0.0, ks))
+    y = np.where(rising, u + j, u - m + 1.0)
+    t = np.where(rising, ks, 1.0)  # y + m - u
+    val = (
+        m * np.log(xs)
+        + (y - 0.5) * np.log1p(m / y)
+        + m * np.log1p(t / u)
+        - m
+        + _stirling_tail(y + m)
+        - _stirling_tail(y)
+    )
+    lo = np.where(rising, 0.0, m)
+    count = np.where(rising, j, ks - m)
+    with np.errstate(divide="ignore"):
+        for e in range(int(count.max())):
+            cols = np.nonzero(e < count)[0]
+            factor = xs[cols] + (lo[cols] + e) * cs[cols]
+            val[cols] += np.log(np.maximum(factor, 0.0))
+    out[sel] = val
+    return out
 
 
 def moments(params: PolyaParams) -> tuple[float, float]:

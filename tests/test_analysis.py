@@ -1,8 +1,10 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polya_bernstein import analysis
 from polya_bernstein.analysis import (
@@ -21,7 +23,13 @@ from polya_bernstein.analysis import (
     verify_lemma_claim,
 )
 from polya_bernstein.numeric_core import strict_floor_bracket
-from polya_bernstein.polya import AdmissibilityError, PolyaParams, pmf
+from polya_bernstein.polya import (
+    AdmissibilityError,
+    PolyaParams,
+    log_rising,
+    pmf,
+    rising_products,
+)
 from polya_bernstein.reports import GridSpec, dump_json, write_curves_csv
 
 
@@ -31,7 +39,83 @@ def brute_tail_sum(n, x, c):
     return sum((x - k / n) * probs[k] for k in range(n + 1) if x - k / n > n**-0.5)
 
 
+def fnc_product_oracle(n, x, c):
+    """F_n^c from its product definition in 50-digit arithmetic, on the
+    library's truncation index."""
+    if x <= 1 / math.sqrt(n):
+        return 0.0
+    r = strict_floor_bracket(n * x - math.sqrt(n))
+    if r < 0:
+        return 0.0
+    r = min(r, n - 1)
+    with mpmath.workdps(50):
+        x, c = mpmath.mpf(x), mpmath.mpf(c)
+        value = mpmath.mpf(math.comb(n - 1, r))
+        for i in range(r + 1):
+            value *= x + i * c
+        for j in range(n - r):
+            value *= 1 - x + j * c
+        for i in range(n):
+            value /= 1 + i * c
+        return float(value)
+
+
+def fnc_product_route(n, xs, cs):
+    """F_n^c through the cumulative products of rising_products."""
+    r = analysis._strict_floor_vec(n * xs - math.sqrt(n))
+    active = (xs > 1 / math.sqrt(n)) & (r >= 0)
+    out = np.zeros_like(xs)
+    rr = np.minimum(r[active], n - 1)
+    cum_a, cum_b, den = rising_products(n, xs[active], cs[active])
+    cols = np.arange(rr.size)
+    binom = np.array([math.comb(n - 1, k) for k in range(n)], dtype=float)
+    out[active] = binom[rr] * cum_a[rr + 1, cols] * cum_b[n - rr, cols] / den
+    return out
+
+
+@st.composite
+def admissible_fnc_args(draw):
+    n = draw(st.integers(min_value=2, max_value=400))
+    x = draw(st.floats(min_value=0.0, max_value=1.0))
+    boundary = -min(x, 1.0 - x) / (n - 1)
+    kind = draw(st.sampled_from(["zero", "tiny", "positive", "interior", "boundary"]))
+    if kind == "zero":
+        c = 0.0
+    elif kind == "tiny":
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        c = max(sign * 10.0 ** draw(st.floats(min_value=-300, max_value=-6)), boundary)
+    elif kind == "positive":
+        c = draw(st.floats(min_value=1e-6, max_value=10.0))
+    elif kind == "interior":
+        c = boundary * draw(st.floats(min_value=0.0, max_value=1.0))
+    else:
+        c = boundary
+    return n, x, c
+
+
 class TestFnc:
+    @settings(max_examples=300, deadline=None)
+    @given(args=admissible_fnc_args())
+    def test_curve_matches_scalar_and_product_definition(self, args):
+        n, x, c = args
+        got = float(f_n_c_curve(n, np.array([x]), c)[0])
+        # The logs carry ~eps * |log 1^(n,c)| each; that exceeds 1e-12 only
+        # for n c >> 1 (log 1^(400,10) ~ 2700).
+        rel = max(1e-12, 2e-15 * abs(float(log_rising(1.0, n, c))))
+        for want in (f_n_c(n, x, c), fnc_product_oracle(n, x, c)):
+            assert abs(got - want) <= rel * abs(want) + 1e-15
+
+    def test_curve_matches_product_route_on_scan_grids(self):
+        for n in (2, 6, 37, 200):
+            for jumps in (breakpoints(n), bracket_jumps(n)):
+                xs = analysis._sym_scan_grid(n, GridSpec(points=2001), jumps)
+                for cs in (np.zeros_like(xs), rn_profile_c(xs, n)):
+                    for arg in (xs, 1.0 - xs):
+                        got = f_n_c_curve(n, arg, cs)
+                        np.testing.assert_allclose(
+                            got, fnc_product_route(n, arg, cs), rtol=0, atol=1e-15
+                        )
+
     def test_zero_branch(self):
         assert f_n_c(9, 0.3, 0.0) == 0.0  # 0.3 <= 1/3
 

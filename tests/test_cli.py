@@ -1,11 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 
-from polya_bernstein.cli import cli
+from polya_bernstein import analysis
+from polya_bernstein.cli import cli, main
 
 
 @pytest.fixture
@@ -211,6 +213,43 @@ class TestFailurePaths:
         res = run_main(["scan", "--sikkema", "--n", "2..3", "--workers", "0"])
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "table, complaint",
+        [
+            ("x,fx\n0,0\n0.5\n1,1\n", "line 3: expected 2 values"),
+            ("x,fx\n0,0\n0.5,nan\n1,1\n", "line 3: values must be finite"),
+            ("x,fx\n0,0\ninf,0.5\n1,1\n", "line 3: values must be finite"),
+            ("x,fx\n0,0\n0.5,abc\n1,1\n", "line 3: values must be numbers"),
+        ],
+    )
+    def test_bad_csv_rows_name_the_line(self, tmp_path, table, complaint):
+        path = tmp_path / "f.csv"
+        path.write_text(table)
+        res = run_main(["eval", "--op", "rn", "--fn-csv", str(path), "--n", "5", "--x", "0.4"])
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert err["kind"] == "error"
+        assert complaint in err["message"]
+
+    def test_zero_c_samples_is_usage_error(self):
+        res = run_main(["verify", "--lemma", "--n", "2..3", "--c-samples", "0"])
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert err["error"] == "usage"
+        assert "--c-samples" in err["message"]
+
+    def test_unexpected_exception_exits_2_with_json(self, monkeypatch, capsys):
+        def boom():
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(analysis, "n6_case_check", boom)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n6"])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"schema": 1, "kind": "error", "error": "RuntimeError",
+                       "message": "unexpected"}
+
 
 class TestDeterminism:
     def test_identical_json_across_worker_counts(self, tmp_path):
@@ -219,3 +258,49 @@ class TestDeterminism:
         b = run_main([*args, "--workers", "3", "--out", str(tmp_path / "b.json")])
         assert a.returncode == b.returncode == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+# Runs argv[1:] and prints its exit code and peak RSS (KiB on Linux).  The
+# command starts from this small process rather than from pytest, because
+# Linux carries the forking process's RSS high-water mark into the child's
+# ru_maxrss.
+PEAK_RSS = (
+    "import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
+    "_, status, usage = os.wait4(p.pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+class TestResources:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, polya_bernstein.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 0
+        assert res.stdout.strip() == "False"
+
+    def test_bracket_scan_memory_is_bounded(self, tmp_path):
+        """The n = 200 bracket scan holds column blocks, not the whole
+        (n+1) x M pmf (about 300 MiB unblocked), and blocking changes no
+        output bit."""
+        args = ["scan", "--sikkema", "--n", "200", "--points", "10001", "--workers", "1"]
+
+        def run(code, out):
+            cmd = [sys.executable, "-c", PEAK_RSS, sys.executable, "-c", code, *args,
+                   "--out", str(out)]
+            res = subprocess.run(cmd, capture_output=True, text=True, check=True)
+            exit_code, peak_kib = map(int, res.stdout.split())
+            assert exit_code == 0
+            return peak_kib / 1024
+
+        blocked = tmp_path / "blocked.json"
+        whole = tmp_path / "whole.json"
+        peak_mib = run("import sys; from polya_bernstein.cli import main; main(sys.argv[1:])",
+                       blocked)
+        run("import sys; from polya_bernstein import analysis; "
+            "analysis.BLOCK_BYTES = 1 << 62; "
+            "from polya_bernstein.cli import main; main(sys.argv[1:])", whole)
+        assert peak_mib < 150
+        assert blocked.read_bytes() == whole.read_bytes()

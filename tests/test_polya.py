@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,9 +8,11 @@ from hypothesis import given, strategies as st
 from polya_bernstein.polya import (
     AdmissibilityError,
     PolyaParams,
+    log_rising,
     moments,
     pmf,
     pmf_matrix,
+    rising_products,
     truncated_first_moment,
     validate,
 )
@@ -83,6 +86,73 @@ class TestPmf:
     def test_matrix_rejects_inadmissible(self):
         with pytest.raises(AdmissibilityError):
             pmf_matrix(4, np.array([0.5]), np.array([-0.4]))
+
+
+def log_rising_oracle(x, k, c):
+    with mpmath.workdps(50):
+        value = mpmath.mpf(1)
+        for i in range(k):
+            value *= mpmath.mpf(x) + i * mpmath.mpf(c)
+        return float(mpmath.log(value))
+
+
+class TestRisingFactorial:
+    def test_products_repeat_the_factor_loop_bit_for_bit(self):
+        n = 17
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(0.01, 0.99, 40)
+        cs = -rng.uniform(0, 1, 40) * np.minimum(xs, 1 - xs) / (n - 1)
+        cs[:10] = rng.uniform(0, 0.3, 10)
+        cum_a, cum_b, den = rising_products(n, xs, cs)
+        for j, (x, c) in enumerate(zip(xs, cs)):
+            a = b = d = 1.0
+            for k in range(n):
+                assert cum_a[k, j] == a and cum_b[k, j] == b
+                a *= x + k * c
+                b *= (1 - x) + k * c
+                d *= 1.0 + k * c
+            assert cum_a[n, j] == a and cum_b[n, j] == b
+            assert den[j] == d
+
+    def test_products_reject_inadmissible(self):
+        with pytest.raises(AdmissibilityError):
+            rising_products(4, np.array([0.5]), np.array([-0.4]))
+
+    @pytest.mark.parametrize(
+        "x, k, c",
+        [
+            (0.3, 50, 1e-300),        # u ~ 3e299
+            (0.3, 50, -1e-20),
+            (0.7, 400, 1e-6),
+            (0.5, 30, 0.5 / 11.5),    # bases straddle the Stirling cutoff
+            (0.5, 30, 0.5 / 12.5),
+            (0.5, 13, -0.5 / 12.5),
+            (0.5, 13, -0.5 / 40.0),
+            (0.9, 201, -0.9 / 200.5),  # falling, last factor near 0
+            (1.0, 400, -0.5 / 399),
+            (0.001, 300, 2.0),         # u << 1
+        ],
+    )
+    def test_matches_product_definition(self, x, k, c):
+        want = log_rising_oracle(x, k, c)
+        assert abs(float(log_rising(x, k, c)) - want) <= 1e-14 * max(1.0, abs(want))
+
+    def test_exact_cases(self):
+        assert log_rising(0.3, 0, -0.1) == 0.0
+        assert log_rising(0.0, 0, 0.0) == 0.0
+        assert log_rising(0.0, 3, 0.2) == -np.inf
+        assert log_rising(0.3, 7, 0.0) == 7 * math.log(0.3)
+        # factor 5 of 0.5^(6,-0.1) is 0.5 - 5 * 0.1 = 0 exactly
+        assert log_rising(0.5, 6, -0.1) == -np.inf
+
+    def test_vectorized_over_broadcast_arguments(self):
+        xs = np.array([0.2, 0.5, 0.9])
+        ks = np.array([[1], [4]])
+        got = log_rising(xs, ks, -0.01)
+        assert got.shape == (2, 3)
+        for i, k in enumerate((1, 4)):
+            for j, x in enumerate(xs):
+                assert got[i, j] == pytest.approx(log_rising_oracle(x, k, -0.01), rel=1e-14)
 
 
 class TestMoments:
