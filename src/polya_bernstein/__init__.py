@@ -43,6 +43,7 @@ from .analysis import (
     sikkema_function,
     verify_kozniewska,
     verify_lemma_claim,
+    verify_sweep,
 )
 from .reports import GridSpec, ScanReport, VerificationReport, dump_json
 

@@ -55,6 +55,7 @@ __all__ = [
     "bracket_curve",
     "scan_curve",
     "scan_sup",
+    "verify_sweep",
     "verify_lemma_claim",
     "verify_kozniewska",
     "n6_case_check",
@@ -64,9 +65,11 @@ __all__ = [
 LEMMA_TOL = 1e-13
 IDENTITY_TOL = 1e-12
 STRICT_C_CUTOFF = -1e-10
-# bracket_curve evaluates its (n+1) x M pmf and bracket weights in column
-# blocks of at most this many bytes per array, so memory stays flat in M.
-BLOCK_BYTES = 4 << 20
+# bracket_curve and the verifier sweeps work on (n+1)-row arrays in column
+# blocks of at most this many bytes per array, so memory stays flat in the
+# grid size and a block stays in cache.  Each column is computed on its own,
+# so blocking changes no output bit.
+BLOCK_BYTES = 2 << 20
 
 
 def rn_profile_c(x, n: int):
@@ -210,6 +213,14 @@ def sikkema_curve(n: int, xs: np.ndarray, c_mode: str) -> np.ndarray:
     )
 
 
+def _blocks(count: int, item_bytes: int):
+    """(start, stop) ranges over count items of item_bytes each, at most
+    BLOCK_BYTES per block and at least one item."""
+    step = max(1, BLOCK_BYTES // item_bytes)
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
+
 def bracket_curve(n: int, xs: np.ndarray, c_mode: str) -> np.ndarray:
     """Sikkema's bracket sum S_n^c(x) = 1 + sum_k ]sqrt(n) |x - k/n|[ p_k^c(x)
     over a grid, with c taken from x as in :func:`sikkema_function`.
@@ -222,14 +233,12 @@ def bracket_curve(n: int, xs: np.ndarray, c_mode: str) -> np.ndarray:
     cs = _mode_c(n, xs, c_mode)
     k = np.arange(n + 1, dtype=float)[:, None]
     out = np.empty_like(xs)
-    # Each column is summed on its own, so blocking changes no bit.
-    block = max(1, BLOCK_BYTES // (8 * (n + 1)))
-    for s in range(0, xs.size, block):
-        x = xs[s : s + block]
-        probs = pmf_matrix(n, x, cs[s : s + block])
+    for s, e in _blocks(xs.size, 8 * (n + 1)):
+        x = xs[s:e]
+        probs = pmf_matrix(n, x, cs[s:e])
         lam = math.sqrt(n) * np.abs(x[None, :] - k / n)
         weights = np.maximum(_strict_floor_vec(lam), 0)
-        out[s : s + block] = 1.0 + (weights * probs).sum(axis=0)
+        out[s:e] = 1.0 + (weights * probs).sum(axis=0)
     return out
 
 
@@ -246,7 +255,12 @@ def scan_curve(
         return xs, bracket_curve(n, xs, c_mode)
     if bound == "majorant":
         xs = _sym_scan_grid(n, grid, breakpoints(n))
-        return xs, sikkema_curve(n, xs, c_mode)
+        # The grid is closed under x -> 1-x bit for bit and the majorant is
+        # symmetric there (c(x) = c(1-x), and F(x) + F(1-x) is a commutative
+        # sum), so the upper half is evaluated and mirrored.
+        h = xs.size // 2
+        upper = sikkema_curve(n, xs[h:], c_mode)
+        return xs, np.concatenate([upper[::-1][:h], upper])
     raise ValueError(f"unknown bound {bound!r}; use one of {', '.join(BOUNDS)}")
 
 
@@ -317,53 +331,272 @@ def scan_sup(
     )
 
 
-def _lemma_cells(n: int, grid: GridSpec, c_samples: int):
-    """Flattened (x, c) sweep for one n: every grid x paired with c_samples
-    uniform multipliers of the boundary value, plus per-column rmax."""
+def _rmax(n: int, xs: np.ndarray) -> np.ndarray:
+    """Largest integer r <= n x - sqrt(n) (up to 1e-12), capped at n - 1;
+    negative where no r qualifies."""
+    return np.minimum(np.floor(n * xs - math.sqrt(n) + 1e-12).astype(int), n - 1)
+
+
+def _cumsum_rows(a: np.ndarray) -> None:
+    """np.cumsum(a, axis=0, out=a), one contiguous row at a time: the same
+    sums in the same order, without a walk that strides across columns."""
+    for i in range(1, a.shape[0]):
+        np.add(a[i - 1], a[i], out=a[i])
+
+
+def _lemma_log_ratio(n: int, r: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """log of lhs / rhs in the lemma inequality, from the log-space kernel:
+    < 0 where the inequality is strict, -inf where a factor vanishes."""
+    return (
+        log_rising(x, r + 1, c)
+        + log_rising(1.0 - x, n - r, c)
+        - log_rising(1.0, n, c)
+        - ((r + 1) * np.log(x) + (n - r) * np.log1p(-x))
+    )
+
+
+class _LemmaSweep:
+    """Per-n state of the rising-factorial inequality check.
+
+    Each r keeps its worst margin (and its worst failing strict margin)
+    over the blocks seen so far; a later block replaces it only when
+    strictly worse, so the first column wins ties, as a single unblocked
+    argmin over the columns would."""
+
+    def __init__(self, n: int, c_samples: int):
+        self.n = n
+        self.c_samples = c_samples
+        self.worst = np.full(n, math.inf)
+        self.witness: list[tuple[float, float] | None] = [None] * n
+        self.strict = np.full(n, math.inf)
+        self.strict_witness: list[tuple[float, float] | None] = [None] * n
+        self.checked = 0
+
+    def block(self, xb, rb, X, C, cum_a, cum_b, den) -> None:
+        n, cs = self.n, self.c_samples
+        strict_c = C < STRICT_C_CUTOFF
+        for r in range(int(rb[-1]) + 1):
+            # x and so rmax are nondecreasing: the cells with rmax >= r are
+            # a suffix of the block.
+            g = int(np.searchsorted(rb, r))
+            s = g * cs
+            lhs = cum_a[r + 1, s:] * cum_b[n - r, s:] / den[s:]
+            rhs_x = xb[g:] ** (r + 1) * (1.0 - xb[g:]) ** (n - r)
+            margin = np.repeat(rhs_x, cs) - lhs
+            self.checked += margin.size
+            j = int(np.argmin(margin))
+            if margin[j] < self.worst[r]:
+                self.worst[r] = margin[j]
+                self.witness[r] = (X[s + j], C[s + j])
+            strict = strict_c[s:]
+            fail = strict & (margin <= 0.0)
+            # Where rhs underflows, both sides may round to 0; the log ratio
+            # decides strictness there instead of the margin.
+            under = rhs_x < np.finfo(float).tiny
+            if np.any(under):
+                t = np.nonzero(strict & np.repeat(under, cs))[0]
+                fail[t] = _lemma_log_ratio(n, r, X[s + t], C[s + t]) >= 0.0
+            if np.any(fail):
+                f = np.nonzero(fail)[0]
+                jf = int(f[np.argmin(margin[f])])
+                if margin[jf] < self.strict[r]:
+                    self.strict[r] = margin[jf]
+                    self.strict_witness[r] = (X[s + jf], C[s + jf])
+
+    def result(self) -> dict[str, Any]:
+        n = self.n
+        worst = math.inf
+        witness: dict[str, Any] = {}
+        strict_witness: dict[str, Any] = {}
+        for r in range(n):
+            if self.worst[r] < worst:
+                worst = float(self.worst[r])
+                x, c = self.witness[r]
+                witness = {"n": n, "x": float(x), "c": float(c), "r": r}
+            if self.strict_witness[r] is not None:  # the last failing r is reported
+                x, c = self.strict_witness[r]
+                strict_witness = {"n": n, "x": float(x), "c": float(c), "r": r}
+        return {
+            "n": n,
+            "worst": worst,
+            "witness": witness,
+            "strict_ok": not strict_witness,
+            "strict_witness": strict_witness,
+            "checked": self.checked,
+        }
+
+    @staticmethod
+    def report(results: list[dict[str, Any]]) -> VerificationReport:
+        """Reduce the per-n results, in n order, to one report."""
+        worst = math.inf
+        witness: dict[str, Any] = {}
+        strict_ok = True
+        strict_witness: dict[str, Any] = {}
+        checked = 0
+        for res in results:
+            checked += res["checked"]
+            if res["worst"] < worst:
+                worst = res["worst"]
+                witness = res["witness"]
+            if not res["strict_ok"] and strict_ok:
+                strict_ok = False
+                strict_witness = res["strict_witness"]
+        passed = worst >= -LEMMA_TOL and strict_ok
+        return VerificationReport(
+            claim_id="rising-factorial-inequality",
+            passed=passed,
+            worst_margin=worst,
+            witness=witness,
+            samples_checked=checked,
+            tolerance=LEMMA_TOL,
+            details={"strict_ok": strict_ok, "strict_witness": strict_witness},
+        )
+
+
+class _KozniewskaSweep:
+    """Per-n state of the truncated-moment and reflection checks; as in
+    :class:`_LemmaSweep`, each r keeps the first column of its worst
+    difference, which reproduces a flat argmax over (r, column)."""
+
+    def __init__(self, n: int, c_samples: int):
+        self.n = n
+        self.binom_n = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+        self.binom_n1 = np.array([math.comb(n - 1, k) for k in range(n)], dtype=float)
+        self.k_n = np.arange(n + 1, dtype=float)[:, None] / n
+        self.worst = np.full(n, -math.inf)
+        self.wx = np.zeros(n)
+        self.wc = np.zeros(n)
+        self.refl = -math.inf
+        self.refl_witness = (0.0, 0.0)
+        self.checked = 0
+
+    def block(self, xb, rb, X, C, cum_a, cum_b, den) -> None:
+        n = self.n
+        closed = np.multiply(self.binom_n1[:, None], cum_a[1 : n + 1])
+        closed *= cum_b[n:0:-1]
+        closed /= den
+        # The pmf and the partial sums overwrite cum_a and cum_b, so a lemma
+        # check reads the products first.
+        probs = np.multiply(self.binom_n[:, None], cum_a, out=cum_a)
+        probs *= cum_b[::-1]
+        probs /= den
+        partial = np.subtract(X[None, :], self.k_n, out=cum_b)
+        partial *= probs
+        _cumsum_rows(partial)  # partial[r] = sum_{k<=r}
+        diff = np.abs(np.subtract(partial[:n], closed, out=closed), out=closed)
+        j = np.argmax(diff, axis=1)
+        top = diff[np.arange(n), j]
+        better = top > self.worst
+        self.worst[better] = top[better]
+        self.wx[better] = X[j[better]]
+        self.wc[better] = C[j[better]]
+        self.checked += int(diff.size)
+
+        # Reflection: the tail over {k : x - k/n < -1/sqrt(n)} rewritten
+        # through k = n - k' must equal F_n^c(1-x), here from the log-space
+        # kernel that the scans run.  The strict threshold is realized by
+        # the snapped bracket r' = ]n(1-x) - sqrt(n)[.
+        rp = _strict_floor_vec(n * (1.0 - X) - math.sqrt(n))
+        active = (1.0 - X > 1.0 / math.sqrt(n)) & (rp >= 0)
+        tail = np.zeros_like(X)
+        if np.any(active):
+            cols = np.nonzero(active)[0]
+            rr = np.minimum(rp[cols], n - 1)
+            terms = np.subtract((1.0 - X)[None, :], self.k_n, out=partial)
+            terms *= probs[::-1]
+            _cumsum_rows(terms)  # terms[r] = sum_{k'<=r}
+            tail[cols] = terms[rr, cols]
+        rdiff = np.abs(tail - f_n_c_curve(n, 1.0 - X, C))
+        jr = int(np.argmax(rdiff))
+        if rdiff[jr] > self.refl:
+            self.refl = float(rdiff[jr])
+            self.refl_witness = (X[jr], C[jr])
+        self.checked += int(X.size)
+
+    def result(self) -> dict[str, Any]:
+        n = self.n
+        rj = int(np.argmax(self.worst))
+        worst_diff = float(self.worst[rj])
+        witness = {
+            "check": "truncated-moment",
+            "n": n,
+            "x": float(self.wx[rj]),
+            "c": float(self.wc[rj]),
+            "r": rj,
+        }
+        if self.refl > worst_diff:
+            worst_diff = self.refl
+            x, c = self.refl_witness
+            witness = {"check": "reflection", "n": n, "x": float(x), "c": float(c)}
+        return {"n": n, "worst_diff": worst_diff, "witness": witness, "checked": self.checked}
+
+    @staticmethod
+    def report(results: list[dict[str, Any]]) -> VerificationReport:
+        """Reduce the per-n results, in n order, to one report."""
+        worst_diff = 0.0
+        witness: dict[str, Any] = {}
+        checked = 0
+        for res in results:
+            checked += res["checked"]
+            if res["worst_diff"] > worst_diff or not witness:
+                worst_diff = res["worst_diff"]
+                witness = res["witness"]
+        return VerificationReport(
+            claim_id="kozniewska-identity",
+            passed=worst_diff <= IDENTITY_TOL,
+            worst_margin=-worst_diff,
+            witness=witness,
+            samples_checked=checked,
+            tolerance=IDENTITY_TOL,
+            details={"worst_abs_diff": worst_diff},
+        )
+
+
+# Run in this order on each block: the Kozniewska check overwrites the
+# rising products that the lemma reads.
+SWEEPS = {"lemma": _LemmaSweep, "kozniewska": _KozniewskaSweep}
+
+
+def _verify_sweep_one(args) -> dict[str, dict[str, Any]]:
+    """One pass over the (x, c) sweep of one n, in column blocks of whole
+    grid points: grid point g carries c_samples columns with c running from
+    the boundary value -min{x,1-x}/(n-1) up to 0.  Every requested check
+    reads the same rising products."""
+    n, grid, c_samples, checks = args
     xs = np.linspace(0.0, 1.0, grid.points)
     fracs = np.linspace(1.0, 0.0, c_samples)
     cmin = rn_profile_c(xs, n)
-    X = np.repeat(xs, c_samples)
-    C = (cmin[:, None] * fracs[None, :]).ravel()
-    rmax = np.floor(n * X - math.sqrt(n) + 1e-12).astype(int)
-    rmax = np.minimum(rmax, n - 1)
-    return X, C, rmax
+    rmax = _rmax(n, xs)
+    sweeps = [SWEEPS[name](n, c_samples) for name in checks]
+    for g0, g1 in _blocks(xs.size, 8 * (n + 1) * c_samples):
+        xb = xs[g0:g1]
+        X = np.repeat(xb, c_samples)
+        C = (cmin[g0:g1, None] * fracs[None, :]).ravel()
+        cum_a, cum_b, den = rising_products(n, X, C)
+        for sweep in sweeps:
+            sweep.block(xb, rmax[g0:g1], X, C, cum_a, cum_b, den)
+    return {name: sweep.result() for name, sweep in zip(checks, sweeps)}
 
 
-def _verify_lemma_one(args) -> dict[str, Any]:
-    n, grid, c_samples = args
-    X, C, rmax = _lemma_cells(n, grid, c_samples)
-    cum_a, cum_b, den = rising_products(n, X, C)
-    worst = math.inf
-    witness: dict[str, Any] = {}
-    strict_ok = True
-    strict_witness: dict[str, Any] = {}
-    checked = 0
-    for r in range(max(0, int(rmax.max()) + 1)):
-        cols = np.nonzero(rmax >= r)[0]
-        if cols.size == 0:
-            continue
-        lhs = cum_a[r + 1, cols] * cum_b[n - r, cols] / den[cols]
-        rhs = X[cols] ** (r + 1) * (1.0 - X[cols]) ** (n - r)
-        margin = rhs - lhs
-        checked += cols.size
-        j = int(np.argmin(margin))
-        if margin[j] < worst:
-            worst = float(margin[j])
-            witness = {"n": n, "x": float(X[cols[j]]), "c": float(C[cols[j]]), "r": r}
-        strict = C[cols] < STRICT_C_CUTOFF
-        if np.any(strict) and margin[strict].min() <= 0.0:
-            strict_ok = False
-            js = cols[strict][int(np.argmin(margin[strict]))]
-            strict_witness = {"n": n, "x": float(X[js]), "c": float(C[js]), "r": r}
-    return {
-        "n": n,
-        "worst": worst,
-        "witness": witness,
-        "strict_ok": strict_ok,
-        "strict_witness": strict_witness,
-        "checked": checked,
-    }
+def verify_sweep(
+    n_range: Iterable[int],
+    checks: Sequence[str] = tuple(SWEEPS),
+    grid: GridSpec = GridSpec(points=2001),
+    c_samples: int = 21,
+    workers: int = 1,
+) -> list[VerificationReport]:
+    """Run the requested sweep checks ("lemma", "kozniewska") in one pass
+    per n that computes the rising products once for all of them; returns
+    their reports in that order.  See :func:`verify_lemma_claim` and
+    :func:`verify_kozniewska` for what each checks."""
+    if not checks or not set(checks) <= set(SWEEPS):
+        raise ValueError(f"checks must be a nonempty subset of {', '.join(SWEEPS)}")
+    ns = _parse_n_range(n_range)
+    todo = tuple(name for name in SWEEPS if name in checks)
+    results = _map_over_n(
+        _verify_sweep_one, [(n, grid, c_samples, todo) for n in ns], workers
+    )
+    return [SWEEPS[name].report([res[name] for res in results]) for name in todo]
 
 
 def verify_lemma_claim(
@@ -379,85 +612,10 @@ def verify_lemma_claim(
 
     Strict inequality is additionally demanded for c < -1e-10 (at c ~ 0 the
     margin is rounding noise and only the non-strict form is asserted).
+    Where the right side underflows below the smallest normal float, the
+    two sides are compared through their logs.
     """
-    ns = _parse_n_range(n_range)
-    results = _map_over_n(_verify_lemma_one, [(n, grid, c_samples) for n in ns], workers)
-    worst = math.inf
-    witness: dict[str, Any] = {}
-    strict_ok = True
-    strict_witness: dict[str, Any] = {}
-    checked = 0
-    for res in results:
-        checked += res["checked"]
-        if res["worst"] < worst:
-            worst = res["worst"]
-            witness = res["witness"]
-        if not res["strict_ok"] and strict_ok:
-            strict_ok = False
-            strict_witness = res["strict_witness"]
-    passed = worst >= -LEMMA_TOL and strict_ok
-    return VerificationReport(
-        claim_id="rising-factorial-inequality",
-        passed=passed,
-        worst_margin=worst,
-        witness=witness,
-        samples_checked=checked,
-        tolerance=LEMMA_TOL,
-        details={"strict_ok": strict_ok, "strict_witness": strict_witness},
-    )
-
-
-def _verify_kozniewska_one(args) -> dict[str, Any]:
-    n, grid, c_samples = args
-    X, C, _ = _lemma_cells(n, grid, c_samples)
-    cum_a, cum_b, den = rising_products(n, X, C)
-    binom_n = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    binom_n1 = np.array([math.comb(n - 1, k) for k in range(n)], dtype=float)
-    closed = binom_n1[:, None] * cum_a[1 : n + 1] * cum_b[n:0:-1] / den
-    # The pmf overwrites cum_a and later products reuse their buffers, so at
-    # most three (n+1) x M arrays are alive past this point.
-    probs = np.multiply(binom_n[:, None], cum_a, out=cum_a)
-    probs *= cum_b[::-1]
-    probs /= den
-    del cum_b
-    k = np.arange(n + 1, dtype=float)[:, None]
-    partial = X[None, :] - k / n
-    partial *= probs
-    np.cumsum(partial, axis=0, out=partial)  # partial[r] = sum_{k<=r}
-    diff = np.abs(np.subtract(partial[:n], closed, out=closed), out=closed)
-    j_flat = int(np.argmax(diff))
-    rj, cj = np.unravel_index(j_flat, diff.shape)
-    worst_diff = float(diff[rj, cj])
-    witness = {
-        "check": "truncated-moment",
-        "n": n,
-        "x": float(X[cj]),
-        "c": float(C[cj]),
-        "r": int(rj),
-    }
-    checked = int(diff.size)
-
-    # Reflection: the tail over {k : x - k/n < -1/sqrt(n)} rewritten through
-    # k = n - k' must equal F_n^c(1-x), here from the log-space kernel that
-    # the scans run.  The strict threshold is realized by the snapped
-    # bracket r' = ]n(1-x) - sqrt(n)[.
-    rp = _strict_floor_vec(n * (1.0 - X) - math.sqrt(n))
-    active = (1.0 - X > 1.0 / math.sqrt(n)) & (rp >= 0)
-    tail = np.zeros_like(X)
-    if np.any(active):
-        cols = np.nonzero(active)[0]
-        rr = np.minimum(rp[cols], n - 1)
-        terms = np.subtract((1.0 - X)[None, :], k / n, out=partial)
-        terms *= probs[::-1]
-        np.cumsum(terms, axis=0, out=terms)  # terms[r] = sum_{k'<=r}
-        tail[cols] = terms[rr, cols]
-    rdiff = np.abs(tail - f_n_c_curve(n, 1.0 - X, C))
-    jr = int(np.argmax(rdiff))
-    checked += int(X.size)
-    if rdiff[jr] > worst_diff:
-        worst_diff = float(rdiff[jr])
-        witness = {"check": "reflection", "n": n, "x": float(X[jr]), "c": float(C[jr])}
-    return {"n": n, "worst_diff": worst_diff, "witness": witness, "checked": checked}
+    return verify_sweep(n_range, ("lemma",), grid, c_samples, workers)[0]
 
 
 def verify_kozniewska(
@@ -469,27 +627,7 @@ def verify_kozniewska(
     """Closed-form truncated first moments vs brute-force pmf sums (all
     truncation levels r = 0..n-1), plus the left-tail reflection identity
     against F_n^c(1-x), over the (n, x, c) sweep."""
-    ns = _parse_n_range(n_range)
-    results = _map_over_n(
-        _verify_kozniewska_one, [(n, grid, c_samples) for n in ns], workers
-    )
-    worst_diff = 0.0
-    witness: dict[str, Any] = {}
-    checked = 0
-    for res in results:
-        checked += res["checked"]
-        if res["worst_diff"] > worst_diff or not witness:
-            worst_diff = res["worst_diff"]
-            witness = res["witness"]
-    return VerificationReport(
-        claim_id="kozniewska-identity",
-        passed=worst_diff <= IDENTITY_TOL,
-        worst_margin=-worst_diff,
-        witness=witness,
-        samples_checked=checked,
-        tolerance=IDENTITY_TOL,
-        details={"worst_abs_diff": worst_diff},
-    )
+    return verify_sweep(n_range, ("kozniewska",), grid, c_samples, workers)[0]
 
 
 N6_INTERVAL_BOUND = 0.0072168      # interval (1/sqrt(6), 1/2]
@@ -553,11 +691,65 @@ def n6_case_check(points_per_interval: int = 50001) -> VerificationReport:
     )
 
 
+def _conjecture_one(args) -> dict[str, Any]:
+    """Worst c-step of the rising-factorial ratio for one n, in column
+    blocks of whole grid points.  A block is laid out c-major: row j of its
+    (c_grid_size, points) view holds the j-th c value of every point."""
+    n, grid, c_grid_size, c_max = args
+    xs = np.linspace(0.0, 1.0, grid.points)
+    rmax_x = _rmax(n, xs)
+    active = (rmax_x >= 0) & (np.minimum(xs, 1.0 - xs) > 0.0)
+    xa = xs[active]
+    ra = rmax_x[active]
+    fracs = np.linspace(0.0, 1.0, c_grid_size)
+    cmin = rn_profile_c(xa, n)
+    steps = np.arange(c_grid_size - 1)
+    # Per (r, c-step): the worst difference and its column in xa.  A later
+    # block replaces it only when strictly worse, so ties keep the first
+    # (r, c-step, column), as one unblocked argmin over them would.
+    worst = np.full((n, steps.size), math.inf)
+    where = np.zeros((n, steps.size), dtype=int)
+    checked = 0
+    for g0, g1 in _blocks(xa.size, 8 * (n + 1) * c_grid_size):
+        cb = cmin[g0:g1]
+        # per-x c grid from the admissibility boundary up to c_max
+        C = (cb[None, :] + fracs[:, None] * (c_max - cb[None, :])).ravel()
+        X = np.tile(xa[g0:g1], c_grid_size)
+        cum_a, cum_b, den = rising_products(n, X, C)
+        rb = ra[g0:g1]
+        for r in range(int(rb[-1]) + 1):
+            g = int(np.searchsorted(rb, r))  # points with rmax >= r: a suffix
+            ratio = (cum_a[r + 1] * cum_b[n - r] / den).reshape(c_grid_size, -1)
+            diffs = np.diff(ratio[:, g:], axis=0)
+            checked += int(diffs.size)
+            j = np.argmin(diffs, axis=1)
+            low = diffs[steps, j]
+            better = low < worst[r]
+            worst[r, better] = low[better]
+            where[r, better] = g0 + g + j[better]
+    result: dict[str, Any] = {"worst": math.inf, "witness": {}, "checked": checked}
+    for r in range(n):
+        ji = int(np.argmin(worst[r]))
+        if worst[r, ji] < result["worst"]:
+            col = where[r, ji]
+            c_lo, c_hi = cmin[col] + fracs[ji : ji + 2] * (c_max - cmin[col])
+            result["worst"] = float(worst[r, ji])
+            result["witness"] = {
+                "n": n,
+                "x": float(xa[col]),
+                "r": r,
+                "c_lo": float(c_lo),
+                "c_hi": float(c_hi),
+            }
+    return result
+
+
 def conjecture_scan(
     n_range: Iterable[int],
     grid: GridSpec = GridSpec(points=2001),
     c_grid_size: int = 21,
     c_max: float = 0.2,
+    workers: int = 1,
 ) -> VerificationReport:
     """Explore whether the rising-factorial ratio is nondecreasing in c on
     [-min{x,1-x}/(n-1), c_max] for every (n, x, r) with r <= n x - sqrt(n).
@@ -570,44 +762,17 @@ def conjecture_scan(
     if c_grid_size < 2:
         raise ValueError(f"c grid needs >= 2 points, got {c_grid_size}")
     ns = _parse_n_range(n_range)
+    results = _map_over_n(
+        _conjecture_one, [(n, grid, c_grid_size, c_max) for n in ns], workers
+    )
     worst = math.inf
     witness: dict[str, Any] = {}
     checked = 0
-    for n in ns:
-        xs = np.linspace(0.0, 1.0, grid.points)
-        rmax_x = np.minimum(
-            np.floor(n * xs - math.sqrt(n) + 1e-12).astype(int), n - 1
-        )
-        active = (rmax_x >= 0) & (np.minimum(xs, 1.0 - xs) > 0.0)
-        if not np.any(active):
-            continue
-        xa = xs[active]
-        ra = rmax_x[active]
-        fracs = np.linspace(0.0, 1.0, c_grid_size)
-        cmin = rn_profile_c(xa, n)
-        # per-x c grid from the admissibility boundary up to c_max
-        C = (cmin[None, :] + fracs[:, None] * (c_max - cmin[None, :])).ravel()
-        X = np.tile(xa, (c_grid_size, 1)).ravel()
-        cum_a, cum_b, den = rising_products(n, X, C)
-        for r in range(int(ra.max()) + 1):
-            sel = ra >= r
-            if not np.any(sel):
-                continue
-            ratio = (cum_a[r + 1] * cum_b[n - r] / den).reshape(c_grid_size, xa.size)
-            diffs = np.diff(ratio[:, sel], axis=0)
-            checked += int(diffs.size)
-            j_flat = int(np.argmin(diffs))
-            ji, jx = np.unravel_index(j_flat, diffs.shape)
-            if diffs[ji, jx] < worst:
-                worst = float(diffs[ji, jx])
-                xw = xa[sel][jx]
-                witness = {
-                    "n": n,
-                    "x": float(xw),
-                    "r": r,
-                    "c_lo": float(C.reshape(c_grid_size, xa.size)[ji][np.nonzero(sel)[0][jx]]),
-                    "c_hi": float(C.reshape(c_grid_size, xa.size)[ji + 1][np.nonzero(sel)[0][jx]]),
-                }
+    for res in results:
+        checked += res["checked"]
+        if res["worst"] < worst:
+            worst = res["worst"]
+            witness = res["witness"]
     monotone = worst >= -LEMMA_TOL
     return VerificationReport(
         claim_id="monotone-in-c-conjecture",

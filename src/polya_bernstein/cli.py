@@ -180,20 +180,17 @@ def cmd_verify(lemma, kozniewska, n6, conjecture, n_range, points, c_samples, ou
     grid = GridSpec(points=points)
     reports = []
     failed = False
-    if lemma:
-        rep = analysis.verify_lemma_claim(ns, grid=grid, c_samples=c_samples, workers=workers)
-        reports.append(rep)
-        failed |= not rep.passed
-    if kozniewska:
-        rep = analysis.verify_kozniewska(ns, grid=grid, c_samples=c_samples, workers=workers)
-        reports.append(rep)
-        failed |= not rep.passed
+    checks = [name for name, on in (("lemma", lemma), ("kozniewska", kozniewska)) if on]
+    if checks:
+        for rep in analysis.verify_sweep(ns, checks, grid, c_samples, workers):
+            reports.append(rep)
+            failed |= not rep.passed
     if n6:
         rep = analysis.n6_case_check()
         reports.append(rep)
         failed |= not rep.passed
     if conjecture:
-        rep = analysis.conjecture_scan(ns, grid=grid, c_grid_size=c_samples)
+        rep = analysis.conjecture_scan(ns, grid=grid, c_grid_size=c_samples, workers=workers)
         reports.append(rep)  # exploratory: findings do not fail the run
     payload = {
         "schema": 1,

@@ -154,8 +154,12 @@ def rising_products(n: int, x: np.ndarray, c: np.ndarray):
     if np.any(fd == 0.0):
         raise ZeroDivisionError("denominator factor 1 + i*c vanishes in the sweep")
     den = np.prod(fd, axis=0)
-    np.multiply.accumulate(cum_a[1:], axis=0, out=cum_a[1:])
-    np.multiply.accumulate(cum_b[1:], axis=0, out=cum_b[1:])
+    # Row by row rather than multiply.accumulate(axis=0), which strides
+    # across columns: the same products in the same order, several times
+    # faster.
+    for i in range(2, n + 1):
+        np.multiply(cum_a[i - 1], cum_a[i], out=cum_a[i])
+        np.multiply(cum_b[i - 1], cum_b[i], out=cum_b[i])
     return cum_a, cum_b, den
 
 

@@ -1,0 +1,30 @@
+"""Fixtures shared by the test modules."""
+
+import subprocess
+import sys
+
+import pytest
+
+# Runs argv[1:] and prints its exit code and peak RSS (KiB on Linux).  The
+# command starts from this small process rather than from pytest, because
+# Linux carries the forking process's RSS high-water mark into the child's
+# ru_maxrss.
+PEAK_RSS = (
+    "import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
+    "_, status, usage = os.wait4(p.pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+@pytest.fixture
+def peak_rss():
+    """run(code, *args) runs ``python -c code *args`` in a fresh process and
+    returns its exit code and peak resident memory in MiB."""
+
+    def run(code, *args):
+        cmd = [sys.executable, "-c", PEAK_RSS, sys.executable, "-c", code, *args]
+        res = subprocess.run(cmd, capture_output=True, text=True, check=True)
+        exit_code, peak_kib = map(int, res.stdout.split())
+        return exit_code, peak_kib / 1024
+
+    return run

@@ -141,6 +141,7 @@ def test_criterion_10_conjecture_scan():
 CRITERIA_CMDS = [
     ["verify", "--lemma", "--kozniewska", "--n", "2..40", "--points", "2001", "--c-samples", "21"],
     ["verify", "--n6"],
+    ["verify", "--conjecture", "--n", "2..20"],
     ["scan", "--sikkema", "--n", "2..30", "--points", "10001", "--c-mode", "zero"],
     ["scan", "--popoviciu", "--fn", "abs-mid", "--op", "rn", "--n", "2..30", "--points", "2001"],
 ]

@@ -16,11 +16,13 @@ from polya_bernstein.analysis import (
     f_n_c_curve,
     n6_case_check,
     rn_profile_c,
+    scan_curve,
     scan_sup,
     sikkema_curve,
     sikkema_function,
     verify_kozniewska,
     verify_lemma_claim,
+    verify_sweep,
 )
 from polya_bernstein.numeric_core import strict_floor_bracket
 from polya_bernstein.polya import (
@@ -235,6 +237,17 @@ class TestScanSup:
         b = scan_sup(range(2, 9), "zero", grid, workers=3)
         assert a == b
 
+    @pytest.mark.parametrize("c_mode", ["zero", "rn"])
+    @pytest.mark.parametrize("points", [1000, 1001])
+    def test_mirrored_majorant_is_bit_exact(self, c_mode, points):
+        # points = 1000 gives grids of both parities, 1001 odd ones
+        sizes = set()
+        for n in (2, 3, 6, 7, 36, 64, 169, 200):
+            xs, vals = scan_curve(n, c_mode, GridSpec(points=points), "majorant")
+            assert np.array_equal(vals, sikkema_curve(n, xs, c_mode))
+            sizes.add(xs.size % 2)
+        assert sizes == ({0, 1} if points == 1000 else {1})
+
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             scan_sup([1], "zero", GridSpec(points=2001))
@@ -331,6 +344,41 @@ class TestLemmaVerifier:
         a = verify_lemma_claim(range(2, 9), grid, 5, workers=1)
         b = verify_lemma_claim(range(2, 9), grid, 5, workers=2)
         assert a == b
+
+
+class TestSweepBlocks:
+    """Column blocks change no output bit, down to which of several tied
+    witnesses is reported."""
+
+    GRID = GridSpec(points=401)  # one block per n under the default budget
+
+    def reports(self):
+        ns, grid = range(2, 9), self.GRID
+        return [
+            verify_lemma_claim(ns, grid, 5).to_json_dict(),
+            verify_kozniewska(ns, grid, 5).to_json_dict(),
+            conjecture_scan(ns, grid, 5).to_json_dict(),
+            # the n = 2 truncated-moment witness ties with two later cells
+            verify_kozniewska([2], GridSpec(points=201), 5).to_json_dict(),
+        ]
+
+    @pytest.mark.parametrize("budget", [1, 10_007])  # one grid point per block; odd blocks
+    def test_block_budget_changes_no_bit(self, monkeypatch, budget):
+        whole = self.reports()
+        # the n = 3 lemma witness ties with seven later c = -0.0 cells
+        assert whole[0]["witness"]["n"] == 3
+        assert math.copysign(1.0, whole[0]["witness"]["c"]) == -1.0
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", budget)
+        assert self.reports() == whole
+
+    def test_fused_sweep_matches_single_checks(self):
+        both = verify_sweep(range(2, 9), ("kozniewska", "lemma"), self.GRID, 5)
+        assert [r.to_json_dict() for r in both] == self.reports()[:2]
+
+    def test_rejects_unknown_checks(self):
+        for checks in ((), ("lemma", "conjecture")):
+            with pytest.raises(ValueError):
+                verify_sweep([2], checks)
 
 
 class TestKozniewskaVerifier:

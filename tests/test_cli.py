@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -163,6 +162,13 @@ class TestVerify:
         payload = json.loads(res.stdout)
         assert all(r["passed"] for r in payload["reports"])
 
+    def test_lemma_strictness_survives_underflow(self):
+        # at x = 0.9995 both sides underflow to 0 for n >= 99; the log
+        # ratio still shows the inequality strict
+        res = run_main(["verify", "--lemma", "--n", "100", "--points", "2001", "--workers", "1"])
+        assert res.returncode == 0, res.stdout
+        assert json.loads(res.stdout)["reports"][0]["details"]["strict_ok"]
+
     def test_n6_check(self):
         res = run_main(["verify", "--n6", "--workers", "1"])
         assert res.returncode == 0
@@ -260,17 +266,6 @@ class TestDeterminism:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-# Runs argv[1:] and prints its exit code and peak RSS (KiB on Linux).  The
-# command starts from this small process rather than from pytest, because
-# Linux carries the forking process's RSS high-water mark into the child's
-# ru_maxrss.
-PEAK_RSS = (
-    "import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
-    "_, status, usage = os.wait4(p.pid, 0); "
-    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
-)
-
-
 class TestResources:
     def test_cli_import_leaves_scipy_unloaded(self):
         res = subprocess.run(
@@ -281,26 +276,32 @@ class TestResources:
         assert res.returncode == 0
         assert res.stdout.strip() == "False"
 
-    def test_bracket_scan_memory_is_bounded(self, tmp_path):
+    def test_bracket_scan_memory_is_bounded(self, tmp_path, peak_rss):
         """The n = 200 bracket scan holds column blocks, not the whole
         (n+1) x M pmf (about 300 MiB unblocked), and blocking changes no
         output bit."""
         args = ["scan", "--sikkema", "--n", "200", "--points", "10001", "--workers", "1"]
-
-        def run(code, out):
-            cmd = [sys.executable, "-c", PEAK_RSS, sys.executable, "-c", code, *args,
-                   "--out", str(out)]
-            res = subprocess.run(cmd, capture_output=True, text=True, check=True)
-            exit_code, peak_kib = map(int, res.stdout.split())
-            assert exit_code == 0
-            return peak_kib / 1024
-
         blocked = tmp_path / "blocked.json"
         whole = tmp_path / "whole.json"
-        peak_mib = run("import sys; from polya_bernstein.cli import main; main(sys.argv[1:])",
-                       blocked)
-        run("import sys; from polya_bernstein import analysis; "
+        exit_code, peak_mib = peak_rss(
+            "import sys; from polya_bernstein.cli import main; main(sys.argv[1:])",
+            *args, "--out", str(blocked))
+        assert exit_code == 0
+        exit_code, _ = peak_rss(
+            "import sys; from polya_bernstein import analysis; "
             "analysis.BLOCK_BYTES = 1 << 62; "
-            "from polya_bernstein.cli import main; main(sys.argv[1:])", whole)
+            "from polya_bernstein.cli import main; main(sys.argv[1:])",
+            *args, "--out", str(whole))
+        assert exit_code == 0
         assert peak_mib < 150
         assert blocked.read_bytes() == whole.read_bytes()
+
+    def test_verifier_sweep_memory_is_bounded(self, tmp_path, peak_rss):
+        """The fused lemma and Kozniewska sweep holds column blocks, not
+        (n+1) x points x c-samples arrays (674 MiB unblocked here)."""
+        exit_code, peak_mib = peak_rss(
+            "import sys; from polya_bernstein.cli import main; main(sys.argv[1:])",
+            "verify", "--lemma", "--kozniewska", "--n", "120", "--points", "8001",
+            "--c-samples", "21", "--workers", "1", "--out", str(tmp_path / "v.json"))
+        assert exit_code == 0
+        assert peak_mib < 150
