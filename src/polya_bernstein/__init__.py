@@ -1,13 +1,7 @@
 """Polya-urn Bernstein-type operators and numerical verification of their
 sup-norm error bounds."""
 
-from .numeric_core import (
-    RealInterval,
-    UNIT_INTERVAL,
-    factorial_ratio,
-    rising_factorial,
-    strict_floor_bracket,
-)
+from .numeric_core import factorial_ratio, strict_floor_bracket
 from .polya import (
     AdmissibilityError,
     PolyaParams,
@@ -41,8 +35,6 @@ from .analysis import (
     n6_case_check,
     scan_sup,
     sikkema_function,
-    verify_kozniewska,
-    verify_lemma_claim,
     verify_sweep,
 )
 from .reports import GridSpec, ScanReport, VerificationReport, dump_json

@@ -36,8 +36,10 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .numeric_core import factorial_ratio, strict_floor_bracket
+from .operators import CProfile
 from .polya import (
     PolyaParams,
+    _pmf_from_products,
     log_rising,
     pmf_matrix,
     rising_products,
@@ -56,8 +58,6 @@ __all__ = [
     "scan_curve",
     "scan_sup",
     "verify_sweep",
-    "verify_lemma_claim",
-    "verify_kozniewska",
     "n6_case_check",
     "conjecture_scan",
 ]
@@ -70,14 +70,6 @@ STRICT_C_CUTOFF = -1e-10
 # grid size and a block stays in cache.  Each column is computed on its own,
 # so blocking changes no output bit.
 BLOCK_BYTES = 2 << 20
-
-
-def rn_profile_c(x, n: int):
-    """Boundary replacement profile c(x) = -min{x,1-x}/(n-1)."""
-    if n <= 1:
-        raise ValueError(f"profile requires n > 1, got {n}")
-    x = np.asarray(x, dtype=float)
-    return -np.minimum(x, 1.0 - x) / (n - 1)
 
 
 def breakpoints(n: int) -> list[float]:
@@ -123,13 +115,6 @@ def f_n_c(n: int, x: float, c: float) -> float:
     return math.comb(n - 1, r) * factorial_ratio(x, r, n, c)
 
 
-def _strict_floor_vec(a: np.ndarray) -> np.ndarray:
-    eps = 1e-12 * np.maximum(1.0, np.abs(a))
-    nearest = np.rint(a)
-    snapped = np.abs(a - nearest) <= eps
-    return np.where(snapped, nearest - 1.0, np.floor(a)).astype(int)
-
-
 def f_n_c_curve(n: int, xs: np.ndarray, cs) -> np.ndarray:
     """Vectorized F_n^c over a grid, O(1) work per point: the log-binomial
     comes from a table and the three rising factorials from
@@ -141,7 +126,7 @@ def f_n_c_curve(n: int, xs: np.ndarray, cs) -> np.ndarray:
         raise ValueError(f"F_n^c requires n > 1, got {n}")
     xs = np.asarray(xs, dtype=float)
     cs = np.broadcast_to(np.asarray(cs, dtype=float), xs.shape)
-    r = _strict_floor_vec(n * xs - math.sqrt(n))
+    r = strict_floor_bracket(n * xs - math.sqrt(n))
     active = (xs > 1.0 / math.sqrt(n)) & (r >= 0)
     out = np.zeros_like(xs)
     if not np.any(active):
@@ -167,16 +152,15 @@ def sikkema_function(n: int, x: float, c_mode: str = "zero") -> float:
     c_mode "zero" fixes c = 0; "rn" uses the boundary profile, whose value
     is symmetric in x <-> 1-x, so a single c serves both F arguments.
     """
-    c = _mode_c(n, x, c_mode)
+    c = float(_profile(c_mode).c_at(x, n))
     return 1.0 + math.sqrt(n) * (f_n_c(n, x, c) + f_n_c(n, 1.0 - x, c))
 
 
-def _mode_c(n: int, x, c_mode: str):
-    if c_mode == "zero":
-        return np.zeros_like(np.asarray(x, dtype=float))
-    if c_mode == "rn":
-        return rn_profile_c(x, n)
-    raise ValueError(f"unknown c-mode {c_mode!r}; use 'zero' or 'rn'")
+def _profile(c_mode: str) -> CProfile:
+    """The replacement profile of a scan's c-mode, "zero" or "rn"."""
+    if c_mode not in ("zero", "rn"):
+        raise ValueError(f"unknown c-mode {c_mode!r}; use 'zero' or 'rn'")
+    return CProfile(c_mode)
 
 
 def _sym_scan_grid(n: int, grid: GridSpec, jumps: Sequence[float] | None = None) -> np.ndarray:
@@ -205,12 +189,12 @@ def _sym_scan_grid(n: int, grid: GridSpec, jumps: Sequence[float] | None = None)
 
 
 def sikkema_curve(n: int, xs: np.ndarray, c_mode: str) -> np.ndarray:
-    """Vectorized :func:`sikkema_function` (the majorant) over a grid."""
-    xs = np.asarray(xs, dtype=float)
-    cs = _mode_c(n, xs, c_mode)
-    return 1.0 + math.sqrt(n) * (
-        f_n_c_curve(n, xs, cs) + f_n_c_curve(n, 1.0 - xs, cs)
-    )
+    """Vectorized :func:`sikkema_function` (the majorant) over a grid.
+    F_n^c(x) and F_n^c(1-x) come from one kernel call on both arguments."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    cs = _profile(c_mode).c_at(xs, n)
+    f = f_n_c_curve(n, np.concatenate([xs, 1.0 - xs]), np.concatenate([cs, cs]))
+    return 1.0 + math.sqrt(n) * (f[: xs.size] + f[xs.size :])
 
 
 def _blocks(count: int, item_bytes: int):
@@ -230,14 +214,14 @@ def bracket_curve(n: int, xs: np.ndarray, c_mode: str) -> np.ndarray:
     value.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    cs = _mode_c(n, xs, c_mode)
+    cs = _profile(c_mode).c_at(xs, n)
     k = np.arange(n + 1, dtype=float)[:, None]
     out = np.empty_like(xs)
     for s, e in _blocks(xs.size, 8 * (n + 1)):
         x = xs[s:e]
         probs = pmf_matrix(n, x, cs[s:e])
         lam = math.sqrt(n) * np.abs(x[None, :] - k / n)
-        weights = np.maximum(_strict_floor_vec(lam), 0)
+        weights = np.maximum(strict_floor_bracket(lam), 0)
         out[s:e] = 1.0 + (weights * probs).sum(axis=0)
     return out
 
@@ -311,7 +295,7 @@ def scan_sup(
         raise ValueError(f"scan range capped at n = 200, got {ns[-1]}")
     if grid.points < 1000:
         raise ValueError(f"sup scans need >= 1000 grid points, got {grid.points}")
-    _mode_c(2, 0.5, c_mode)  # validate mode early
+    _profile(c_mode)  # validate mode early
     if bound is None:
         bound = "bracket" if c_mode == "zero" else "majorant"
     elif bound not in BOUNDS:
@@ -356,7 +340,15 @@ def _lemma_log_ratio(n: int, r: int, x: np.ndarray, c: np.ndarray) -> np.ndarray
 
 
 class _LemmaSweep:
-    """Per-n state of the rising-factorial inequality check.
+    """Per-n state of the rising-factorial inequality check ("lemma"):
+    x^(r+1,c)(1-x)^(n-r,c)/1^(n,c) <= x^(r+1) (1-x)^(n-r) over grid x,
+    integer 0 <= r <= n x - sqrt(n), and c_samples values spanning
+    [-min{x,1-x}/(n-1), 0].
+
+    Strict inequality is additionally demanded for c < -1e-10 (at c ~ 0 the
+    margin is rounding noise and only the non-strict form is asserted).
+    Where the right side underflows below the smallest normal float, the
+    two sides are compared through their logs.
 
     Each r keeps its worst margin (and its worst failing strict margin)
     over the blocks seen so far; a later block replaces it only when
@@ -454,13 +446,16 @@ class _LemmaSweep:
 
 
 class _KozniewskaSweep:
-    """Per-n state of the truncated-moment and reflection checks; as in
-    :class:`_LemmaSweep`, each r keeps the first column of its worst
+    """Per-n state of the truncated-moment and reflection checks
+    ("kozniewska"): closed-form truncated first moments against brute-force
+    pmf sums at every truncation level r = 0..n-1, plus the left-tail
+    reflection identity against F_n^c(1-x), over the (x, c) sweep.
+
+    As in :class:`_LemmaSweep`, each r keeps the first column of its worst
     difference, which reproduces a flat argmax over (r, column)."""
 
     def __init__(self, n: int, c_samples: int):
         self.n = n
-        self.binom_n = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
         self.binom_n1 = np.array([math.comb(n - 1, k) for k in range(n)], dtype=float)
         self.k_n = np.arange(n + 1, dtype=float)[:, None] / n
         self.worst = np.full(n, -math.inf)
@@ -477,9 +472,7 @@ class _KozniewskaSweep:
         closed /= den
         # The pmf and the partial sums overwrite cum_a and cum_b, so a lemma
         # check reads the products first.
-        probs = np.multiply(self.binom_n[:, None], cum_a, out=cum_a)
-        probs *= cum_b[::-1]
-        probs /= den
+        probs = _pmf_from_products(cum_a, cum_b, den)
         partial = np.subtract(X[None, :], self.k_n, out=cum_b)
         partial *= probs
         _cumsum_rows(partial)  # partial[r] = sum_{k<=r}
@@ -496,7 +489,7 @@ class _KozniewskaSweep:
         # through k = n - k' must equal F_n^c(1-x), here from the log-space
         # kernel that the scans run.  The strict threshold is realized by
         # the snapped bracket r' = ]n(1-x) - sqrt(n)[.
-        rp = _strict_floor_vec(n * (1.0 - X) - math.sqrt(n))
+        rp = strict_floor_bracket(n * (1.0 - X) - math.sqrt(n))
         active = (1.0 - X > 1.0 / math.sqrt(n)) & (rp >= 0)
         tail = np.zeros_like(X)
         if np.any(active):
@@ -565,7 +558,7 @@ def _verify_sweep_one(args) -> dict[str, dict[str, Any]]:
     n, grid, c_samples, checks = args
     xs = np.linspace(0.0, 1.0, grid.points)
     fracs = np.linspace(1.0, 0.0, c_samples)
-    cmin = rn_profile_c(xs, n)
+    cmin = CProfile("rn").c_at(xs, n)
     rmax = _rmax(n, xs)
     sweeps = [SWEEPS[name](n, c_samples) for name in checks]
     for g0, g1 in _blocks(xs.size, 8 * (n + 1) * c_samples):
@@ -587,8 +580,8 @@ def verify_sweep(
 ) -> list[VerificationReport]:
     """Run the requested sweep checks ("lemma", "kozniewska") in one pass
     per n that computes the rising products once for all of them; returns
-    their reports in that order.  See :func:`verify_lemma_claim` and
-    :func:`verify_kozniewska` for what each checks."""
+    their reports in that order.  See :class:`_LemmaSweep` and
+    :class:`_KozniewskaSweep` for what each checks."""
     if not checks or not set(checks) <= set(SWEEPS):
         raise ValueError(f"checks must be a nonempty subset of {', '.join(SWEEPS)}")
     ns = _parse_n_range(n_range)
@@ -597,37 +590,6 @@ def verify_sweep(
         _verify_sweep_one, [(n, grid, c_samples, todo) for n in ns], workers
     )
     return [SWEEPS[name].report([res[name] for res in results]) for name in todo]
-
-
-def verify_lemma_claim(
-    n_range: Iterable[int],
-    grid: GridSpec = GridSpec(points=2001),
-    c_samples: int = 21,
-    workers: int = 1,
-) -> VerificationReport:
-    """Sweep the rising-factorial inequality
-    x^(r+1,c)(1-x)^(n-r,c)/1^(n,c) <= x^(r+1) (1-x)^(n-r)
-    over every n in range, grid x, integer 0 <= r <= n x - sqrt(n), and
-    c_samples values spanning [-min{x,1-x}/(n-1), 0].
-
-    Strict inequality is additionally demanded for c < -1e-10 (at c ~ 0 the
-    margin is rounding noise and only the non-strict form is asserted).
-    Where the right side underflows below the smallest normal float, the
-    two sides are compared through their logs.
-    """
-    return verify_sweep(n_range, ("lemma",), grid, c_samples, workers)[0]
-
-
-def verify_kozniewska(
-    n_range: Iterable[int],
-    grid: GridSpec = GridSpec(points=2001),
-    c_samples: int = 21,
-    workers: int = 1,
-) -> VerificationReport:
-    """Closed-form truncated first moments vs brute-force pmf sums (all
-    truncation levels r = 0..n-1), plus the left-tail reflection identity
-    against F_n^c(1-x), over the (n, x, c) sweep."""
-    return verify_sweep(n_range, ("kozniewska",), grid, c_samples, workers)[0]
 
 
 N6_INTERVAL_BOUND = 0.0072168      # interval (1/sqrt(6), 1/2]
@@ -652,7 +614,7 @@ def n6_case_check(points_per_interval: int = 50001) -> VerificationReport:
 
     def curve(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
         xs = np.linspace(lo + off, hi, points_per_interval)
-        return xs, f_n_c_curve(n, xs, rn_profile_c(xs, n))
+        return xs, f_n_c_curve(n, xs, CProfile("rn").c_at(xs, n))
 
     _, f1 = curve(s, 0.5)
     sup_i = float(f1.max())
@@ -702,7 +664,7 @@ def _conjecture_one(args) -> dict[str, Any]:
     xa = xs[active]
     ra = rmax_x[active]
     fracs = np.linspace(0.0, 1.0, c_grid_size)
-    cmin = rn_profile_c(xa, n)
+    cmin = CProfile("rn").c_at(xa, n)
     steps = np.arange(c_grid_size - 1)
     # Per (r, c-step): the worst difference and its column in xa.  A later
     # block replaces it only when strictly worse, so ties keep the first

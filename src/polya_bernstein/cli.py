@@ -8,7 +8,6 @@ Identical invocations produce byte-identical JSON regardless of --workers.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
@@ -73,11 +72,14 @@ def cli() -> None:
 @click.option("--n", "n", type=int, required=True)
 @click.option("--x", "x", type=float, default=None, help="single evaluation point")
 @click.option("--c", "c", type=float, default=None, help="constant profile c (op=polya)")
-@click.option("--grid-points", type=int, default=None, help="evaluate on a grid instead of --x")
+@click.option("--grid-points", type=click.IntRange(min=2), default=None,
+              help="evaluate on a grid instead of --x")
 @click.option("--out", "out", type=click.Path(), default=None, help="CSV output for grid mode")
 def cmd_eval(op, fn, fn_csv, n, x, c, grid_points, out):
     """Evaluate an operator at a point, or over a grid (CSV x,fx,opx,error)."""
     f = _function(fn, fn_csv)
+    if c is not None and op != "polya":
+        raise click.UsageError("--c applies to --op polya only")
     if op == "polya":
         profile = operators.CProfile("constant", c) if c is not None else operators.CProfile("rn")
     elif op == "rn":
@@ -86,6 +88,8 @@ def cmd_eval(op, fn, fn_csv, n, x, c, grid_points, out):
         profile = None
     if (x is None) == (grid_points is None):
         raise click.UsageError("provide exactly one of --x or --grid-points")
+    if grid_points is not None and out is None:
+        raise click.UsageError("grid mode requires --out")
     if x is not None:
         if op == "bernstein":
             value = operators.bernstein_eval(f, n, x)
@@ -100,8 +104,6 @@ def cmd_eval(op, fn, fn_csv, n, x, c, grid_points, out):
         curve = operators.operator_curve(f, n, xs, profile)
     fx = np.asarray(f(xs))
     rows = zip(xs.tolist(), fx.tolist(), curve.tolist(), (curve - fx).tolist())
-    if out is None:
-        raise click.UsageError("grid mode requires --out")
     write_curves_csv(out, rows, header=("x", "fx", "opx", "error"))
     click.echo(f"wrote {grid_points} rows to {out}")
 
@@ -206,7 +208,7 @@ def cmd_verify(lemma, kozniewska, n6, conjecture, n_range, points, c_samples, ou
 @click.option("--fn", "fn", default=None)
 @click.option("--fn-csv", "fn_csv", default=None, type=click.Path(exists=True))
 @click.option("--n", "n", type=int, required=True)
-@click.option("--points", type=int, default=DEFAULT_POINTS, show_default=True)
+@click.option("--points", type=click.IntRange(min=2), default=DEFAULT_POINTS, show_default=True)
 @click.option("--out", "out", type=click.Path(), required=True)
 def cmd_compare(fn, fn_csv, n, points, out):
     """Side-by-side error profiles of B_n and R_n (CSV x,err_bernstein,err_rn)."""

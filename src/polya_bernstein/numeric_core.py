@@ -1,77 +1,35 @@
 """Shared floating-point primitives.
 
-Rising factorials with arbitrary increment, the strict-floor bracket used
-for truncation indices, and a stabilized three-factorial ratio.  Everything
-here is pure and safe to call from any number of workers.
+The strict-floor bracket used for truncation indices and a stabilized
+three-factorial ratio, the scalar closed-form kernel behind the point
+evaluations of F_n^c.  Everything here is pure and safe to call from any
+number of workers.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import numpy as np
 
 __all__ = [
-    "RealInterval",
-    "UNIT_INTERVAL",
-    "rising_factorial",
     "strict_floor_bracket",
     "factorial_ratio",
 ]
 
 
-@dataclass(frozen=True)
-class RealInterval:
-    """A closed interval [lo, hi] with finite endpoints."""
+def strict_floor_bracket(a):
+    """Largest integer strictly smaller than a, i.e. the k with k < a <= k+1,
+    elementwise over arrays: an int for a scalar, an int array for an array.
 
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-
-UNIT_INTERVAL = RealInterval(0.0, 1.0)
-
-
-def rising_factorial(x: float, n: int, h: float) -> float:
-    """Generalized rising factorial x*(x+h)*(x+2h)*...*(x+(n-1)h).
-
-    n = 0 returns exactly 1; a zero factor returns exactly 0 (no log-space
-    shortcut, so signs and exact zeros survive).  Overflow to +-inf is
-    allowed for extreme inputs.
+    Values within 1e-12 max(1, |a|) of an integer m are snapped to m first
+    (so the result is m-1); elsewhere this is plain floor.  The tolerance
+    absorbs the few ulps of noise picked up when a is computed as
+    n*x - sqrt(n).
     """
-    if n < 0:
-        raise ValueError(f"rising factorial needs n >= 0, got {n}")
-    prod = 1.0
-    for i in range(n):
-        factor = x + i * h
-        if factor == 0.0:
-            return 0.0
-        prod *= factor
-    return prod
-
-
-def strict_floor_bracket(a: float, eps: float | None = None) -> int:
-    """Largest integer strictly smaller than a, i.e. the k with k < a <= k+1.
-
-    Values within eps of an integer m are snapped to m first (so the result
-    is m-1); elsewhere this is plain floor.  The default eps absorbs the few
-    ulps of noise picked up when a is computed as n*x - sqrt(n).
-    """
-    if eps is None:
-        eps = 1e-12 * max(1.0, abs(a))
-    elif eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    nearest = round(a)
-    if abs(a - nearest) <= eps:
-        return int(nearest) - 1
-    return math.floor(a)
+    v = np.asarray(a, dtype=float)[()]  # a numpy scalar for scalar input: faster
+    nearest = np.rint(v)
+    snapped = np.abs(v - nearest) <= 1e-12 * np.maximum(1.0, np.abs(v))
+    k = np.where(snapped, nearest - 1.0, np.floor(v)).astype(int)
+    return k if isinstance(a, np.ndarray) else int(k)
 
 
 def factorial_ratio(x: float, r: int, n: int, c: float) -> float:

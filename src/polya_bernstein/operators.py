@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polya import PolyaParams, pmf, pmf_matrix, validate
+from .polya import PolyaParams, pmf, pmf_matrix
 from .reports import GridSpec, ScanReport
 
 __all__ = [
@@ -145,19 +145,17 @@ class CProfile:
 
 
 def bernstein_eval(f: FunctionSpec, n: int, x: float) -> float:
-    """Classical Bernstein polynomial sum f(k/n) C(n,k) x^k (1-x)^(n-k)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    """Classical Bernstein polynomial sum f(k/n) C(n,k) x^k (1-x)^(n-k):
+    the one-point view of :func:`bernstein_curve`."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0,1], got {x}")
-    total = 0.0
-    for k in range(n + 1):
-        total += float(f(k / n)) * math.comb(n, k) * x**k * (1.0 - x) ** (n - k)
-    return total
+    return float(bernstein_curve(f, n, np.array([x]))[0])
 
 
 def bernstein_curve(f: FunctionSpec, n: int, xs: np.ndarray) -> np.ndarray:
     """Bernstein polynomial evaluated on a grid (vectorized over x)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     xs = np.asarray(xs, dtype=float)
     k = np.arange(n + 1, dtype=float)
     binom = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
@@ -178,15 +176,15 @@ def polya_operator_eval(f: FunctionSpec, n: int, x: float, profile: CProfile) ->
     if x == 0.0 or x == 1.0:
         return float(f(x))
     c = float(profile.c_at(x, n))
-    params = PolyaParams(n, x, 1.0 - x, c)
-    validate(params)
-    probs = pmf(params)
+    probs = pmf(PolyaParams(n, x, 1.0 - x, c))
     k = np.arange(n + 1, dtype=float)
     return float(np.asarray(f(k / n)) @ probs)
 
 
 def operator_curve(f: FunctionSpec, n: int, xs: np.ndarray, profile: CProfile) -> np.ndarray:
     """Urn operator evaluated on a grid (vectorized over x)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     xs = np.asarray(xs, dtype=float)
     cs = np.asarray(profile.c_at(xs, n), dtype=float)
     probs = pmf_matrix(n, xs, cs)

@@ -99,34 +99,14 @@ def pmf(params: PolyaParams) -> np.ndarray:
     """Probability mass function, entries k = 0..n.
 
     Entry k is C(n,k) * a^(k,c) * b^(n-k,c) / (a+b)^(n,c).  Parameters are
-    first normalized to a+b = 1 (the pmf is homogeneous of degree 0), then
-    each entry is computed by pairing numerator factor i with denominator
-    factor i, as in :func:`factorial_ratio`.  Entries are clamped to [0,1];
-    the sum-to-1 identity is asserted, not forced.
+    first normalized to a+b = 1 (the pmf is homogeneous of degree 0); the
+    result is then the one column of :func:`pmf_matrix` at x = a, c, so it
+    is built from the same cumulative products as every grid sweep.  The
+    sum-to-1 identity is asserted, not forced.
     """
     validate(params)
-    n = params.n
     total = params.a + params.b
-    a = params.a / total
-    b = params.b / total
-    c = params.c / total
-    for i in range(n):
-        if 1.0 + i * c == 0.0:
-            raise ZeroDivisionError(
-                f"denominator factor (a+b) + {i}*c vanishes for params {params}"
-            )
-    probs = np.empty(n + 1)
-    for k in range(n + 1):
-        num = [a + i * c for i in range(k)] + [b + j * c for j in range(n - k)]
-        prod = float(math.comb(n, k))
-        for i in range(n):
-            prod *= num[i] / (1.0 + i * c)
-        probs[k] = prod
-    if probs.min() < -_NEG_TOL:
-        raise ArithmeticError(
-            f"pmf entry {probs.min()} below rounding tolerance {-_NEG_TOL} for {params}"
-        )
-    probs = np.clip(probs, 0.0, 1.0)
+    probs = pmf_matrix(params.n, params.a / total, params.c / total)[:, 0]
     drift = abs(probs.sum() - 1.0)
     if drift > _SUM_TOL:
         raise ArithmeticError(f"pmf sum drifts from 1 by {drift} for {params}")
@@ -163,22 +143,29 @@ def rising_products(n: int, x: np.ndarray, c: np.ndarray):
     return cum_a, cum_b, den
 
 
+def _pmf_from_products(cum_a: np.ndarray, cum_b: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """C(n,k) x^(k,c) (1-x)^(n-k,c) / 1^(n,c) from the :func:`rising_products`
+    of a family, written over cum_a and returned unclipped."""
+    n = cum_a.shape[0] - 1
+    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    probs = np.multiply(binom[:, None], cum_a, out=cum_a)
+    probs *= cum_b[::-1]
+    probs /= den
+    return probs
+
+
 def pmf_matrix(n: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Vectorized pmf for parameter family (n, x, 1-x, c), shape (n+1, len(x)).
 
     x and c are broadcast together; every column is the pmf of
-    PolyaParams(n, x_j, 1-x_j, c_j).  Used by grid sweeps where the scalar
-    path would dominate the runtime; agrees with :func:`pmf` to ~1e-15.
+    PolyaParams(n, x_j, 1-x_j, c_j), clipped to [0, 1] after a check that no
+    entry is below -1e-15.  :func:`pmf` is its one-column view.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     c = np.broadcast_to(np.asarray(c, dtype=float), x.shape)
     if np.any(x < -BOUNDARY_SLACK) or np.any(x > 1 + BOUNDARY_SLACK):
         raise AdmissibilityError("x must lie in [0,1]")
-    cum_a, cum_b, den = rising_products(n, x, c)
-    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    probs = np.multiply(binom[:, None], cum_a, out=cum_a)
-    probs *= cum_b[::-1]
-    probs /= den
+    probs = _pmf_from_products(*rising_products(n, x, c))
     if probs.min() < -_NEG_TOL:
         raise ArithmeticError(f"pmf entry {probs.min()} below rounding tolerance")
     return np.clip(probs, 0.0, 1.0, out=probs)

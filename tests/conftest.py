@@ -1,8 +1,10 @@
 """Fixtures shared by the test modules."""
 
+import math
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 # Runs argv[1:] and prints its exit code and peak RSS (KiB on Linux).  The
@@ -28,3 +30,22 @@ def peak_rss():
         return exit_code, peak_kib / 1024
 
     return run
+
+
+def _pmf_oracle(n, x, c):
+    with mpmath.workdps(50):
+        x, c = mpmath.mpf(x), mpmath.mpf(c)
+        a, b, den = [mpmath.mpf(1)], [mpmath.mpf(1)], mpmath.mpf(1)
+        for i in range(n):
+            a.append(a[-1] * (x + i * c))      # x^(i+1,c)
+            b.append(b[-1] * (1 - x + i * c))  # (1-x)^(i+1,c)
+            den *= 1 + i * c
+        return [float(math.comb(n, k) * a[k] * b[n - k] / den) for k in range(n + 1)]
+
+
+@pytest.fixture(scope="session")
+def pmf_oracle():
+    """pmf_oracle(n, x, c) is the pmf of PolyaParams(n, x, 1-x, c) from its
+    product definition in 50-digit arithmetic, independent of the library's
+    rising products."""
+    return _pmf_oracle

@@ -11,7 +11,6 @@ import sys
 import numpy as np
 
 from polya_bernstein import analysis, operators
-from polya_bernstein.analysis import rn_profile_c
 from polya_bernstein.operators import BUILTIN_FUNCTIONS, CProfile
 from polya_bernstein.polya import pmf_matrix
 from polya_bernstein.reports import GridSpec
@@ -28,7 +27,7 @@ def _sweep_params():
     for n in range(1, 51):
         modes = [np.zeros_like(xs)]
         if n > 1:
-            modes.append(rn_profile_c(xs, n))
+            modes.append(CProfile("rn").c_at(xs, n))
         for cs in modes:
             yield n, xs, cs
 
@@ -70,14 +69,14 @@ def test_criterion_3_c_zero_degeneracy():
 
 
 def test_criterion_4_kozniewska_identity():
-    rep = analysis.verify_kozniewska(range(2, 41), GridSpec(points=2001), c_samples=21)
+    (rep,) = analysis.verify_sweep(range(2, 41), ["kozniewska"], GridSpec(points=2001), c_samples=21)
     ok = rep.passed and abs(rep.worst_margin) <= 1e-12
     _report(4, "Kozniewska identity + reflection", ok,
             f"worst |diff| = {rep.details['worst_abs_diff']:.3e} over {rep.samples_checked} samples")
 
 
 def test_criterion_5_lemma_sweep():
-    rep = analysis.verify_lemma_claim(range(2, 41), GridSpec(points=2001), c_samples=21)
+    (rep,) = analysis.verify_sweep(range(2, 41), ["lemma"], GridSpec(points=2001), c_samples=21)
     ok = rep.passed and rep.worst_margin >= -1e-13 and rep.details["strict_ok"]
     _report(5, "rising-factorial inequality sweep", ok,
             f"worst margin = {rep.worst_margin:.3e}, strict ok = {rep.details['strict_ok']}, "
@@ -122,7 +121,7 @@ def test_criterion_9_f_dominance():
     worst = -math.inf
     for n in range(2, 41):
         xs = np.linspace(0.0, 1.0, 2001)
-        gap = analysis.f_n_c_curve(n, xs, rn_profile_c(xs, n)) - analysis.f_n_c_curve(n, xs, 0.0)
+        gap = analysis.f_n_c_curve(n, xs, CProfile("rn").c_at(xs, n)) - analysis.f_n_c_curve(n, xs, 0.0)
         worst = max(worst, float(gap.max()))
     _report(9, "boundary-profile dominance", worst <= 1e-13,
             f"max F^c - F^0 = {worst:.3e}")

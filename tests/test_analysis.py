@@ -15,16 +15,14 @@ from polya_bernstein.analysis import (
     f_n_c,
     f_n_c_curve,
     n6_case_check,
-    rn_profile_c,
     scan_curve,
     scan_sup,
     sikkema_curve,
     sikkema_function,
-    verify_kozniewska,
-    verify_lemma_claim,
     verify_sweep,
 )
 from polya_bernstein.numeric_core import strict_floor_bracket
+from polya_bernstein.operators import CProfile
 from polya_bernstein.polya import (
     AdmissibilityError,
     PolyaParams,
@@ -64,7 +62,7 @@ def fnc_product_oracle(n, x, c):
 
 def fnc_product_route(n, xs, cs):
     """F_n^c through the cumulative products of rising_products."""
-    r = analysis._strict_floor_vec(n * xs - math.sqrt(n))
+    r = strict_floor_bracket(n * xs - math.sqrt(n))
     active = (xs > 1 / math.sqrt(n)) & (r >= 0)
     out = np.zeros_like(xs)
     rr = np.minimum(r[active], n - 1)
@@ -111,7 +109,7 @@ class TestFnc:
         for n in (2, 6, 37, 200):
             for jumps in (breakpoints(n), bracket_jumps(n)):
                 xs = analysis._sym_scan_grid(n, GridSpec(points=2001), jumps)
-                for cs in (np.zeros_like(xs), rn_profile_c(xs, n)):
+                for cs in (np.zeros_like(xs), CProfile("rn").c_at(xs, n)):
                     for arg in (xs, 1.0 - xs):
                         got = f_n_c_curve(n, arg, cs)
                         np.testing.assert_allclose(
@@ -136,7 +134,7 @@ class TestFnc:
     def test_curve_matches_scalar(self):
         n = 8
         xs = np.linspace(0, 1, 301)
-        cs = rn_profile_c(xs, n)
+        cs = CProfile("rn").c_at(xs, n)
         curve = f_n_c_curve(n, xs, cs)
         for j in range(0, 301, 7):
             assert curve[j] == pytest.approx(f_n_c(n, float(xs[j]), float(cs[j])), abs=1e-14)
@@ -145,12 +143,12 @@ class TestFnc:
         for n in (2, 5, 12):
             for x in np.linspace(0, 1 / math.sqrt(n), 20):
                 assert f_n_c(n, float(x), 0.0) == 0.0
-                assert f_n_c(n, float(x), float(rn_profile_c(x, n))) == 0.0
+                assert f_n_c(n, float(x), float(CProfile("rn").c_at(x, n))) == 0.0
 
     def test_boundary_profile_dominated_by_zero_profile(self):
         for n in range(2, 41):
             xs = np.linspace(0, 1, 501)
-            gap = f_n_c_curve(n, xs, rn_profile_c(xs, n)) - f_n_c_curve(n, xs, 0.0)
+            gap = f_n_c_curve(n, xs, CProfile("rn").c_at(xs, n)) - f_n_c_curve(n, xs, 0.0)
             assert gap.max() <= 1e-13
 
 
@@ -254,13 +252,25 @@ class TestScanSup:
         with pytest.raises(ValueError):
             scan_sup([2], "zero", GridSpec(points=500))
 
+    def test_rejects_c_modes_other_than_zero_and_rn(self):
+        xs = np.linspace(0, 1, 11)
+        for c_mode in ("constant", "bogus"):
+            with pytest.raises(ValueError, match="c-mode"):
+                scan_sup([2], c_mode, GridSpec(points=2001))
+            with pytest.raises(ValueError, match="c-mode"):
+                sikkema_function(4, 0.7, c_mode)
+            with pytest.raises(ValueError, match="c-mode"):
+                sikkema_curve(4, xs, c_mode)
+            with pytest.raises(ValueError, match="c-mode"):
+                bracket_curve(4, xs, c_mode)
+
 
 SIKKEMA_CONSTANT = (4306 + 837 * math.sqrt(6)) / 5832
 
 
-def bracket_sum_oracle(n, x, c):
-    """Independent oracle: literal bracket-weighted sum over the scalar pmf."""
-    probs = pmf(PolyaParams(n, x, 1 - x, c))
+def bracket_sum_oracle(n, x, c, pmf_oracle):
+    """Independent oracle: literal bracket-weighted sum over the 50-digit pmf."""
+    probs = pmf_oracle(n, x, c)
     lams = [math.sqrt(n) * abs(x - k / n) for k in range(n + 1)]
     return 1 + sum(max(0, strict_floor_bracket(lam)) * p for lam, p in zip(lams, probs))
 
@@ -270,13 +280,13 @@ class TestBracketSum:
         assert bracket_jumps(4) == pytest.approx([0.25, 0.5, 0.75])
         assert 5 / 6 - 1 / math.sqrt(6) in bracket_jumps(6)
 
-    def test_curve_matches_scalar_oracle(self):
+    def test_curve_matches_scalar_oracle(self, pmf_oracle):
         xs = np.linspace(0, 1, 97)
         for n in (2, 6, 11):
-            for c_mode, cs in (("zero", np.zeros_like(xs)), ("rn", rn_profile_c(xs, n))):
+            for c_mode, cs in (("zero", np.zeros_like(xs)), ("rn", CProfile("rn").c_at(xs, n))):
                 vals = bracket_curve(n, xs, c_mode)
                 for j in range(0, 97, 4):
-                    want = bracket_sum_oracle(n, float(xs[j]), float(cs[j]))
+                    want = bracket_sum_oracle(n, float(xs[j]), float(cs[j]), pmf_oracle)
                     assert vals[j] == pytest.approx(want, abs=1e-14)
 
     def test_takes_lower_one_sided_value_at_a_jump(self):
@@ -312,7 +322,7 @@ class TestBracketSum:
 
 class TestLemmaVerifier:
     def test_small_sweep_passes(self):
-        rep = verify_lemma_claim(range(2, 13), GridSpec(points=501), c_samples=9)
+        (rep,) = verify_sweep(range(2, 13), ["lemma"], GridSpec(points=501), c_samples=9)
         assert rep.passed
         assert rep.worst_margin >= -1e-13
         assert rep.details["strict_ok"]
@@ -334,15 +344,15 @@ class TestLemmaVerifier:
 
         for n in (4, 9, 20):
             for x in np.linspace(0.55, 0.95, 9):
-                c = float(rn_profile_c(x, n))
+                c = float(CProfile("rn").c_at(x, n))
                 lhs = factorial_ratio(float(x), 0, n, c)
                 rhs = float(x) * (1 - float(x)) ** n
                 assert lhs < rhs
 
     def test_workers_deterministic(self):
         grid = GridSpec(points=301)
-        a = verify_lemma_claim(range(2, 9), grid, 5, workers=1)
-        b = verify_lemma_claim(range(2, 9), grid, 5, workers=2)
+        a = verify_sweep(range(2, 9), ["lemma"], grid, 5, workers=1)
+        b = verify_sweep(range(2, 9), ["lemma"], grid, 5, workers=2)
         assert a == b
 
 
@@ -355,11 +365,11 @@ class TestSweepBlocks:
     def reports(self):
         ns, grid = range(2, 9), self.GRID
         return [
-            verify_lemma_claim(ns, grid, 5).to_json_dict(),
-            verify_kozniewska(ns, grid, 5).to_json_dict(),
+            verify_sweep(ns, ["lemma"], grid, 5)[0].to_json_dict(),
+            verify_sweep(ns, ["kozniewska"], grid, 5)[0].to_json_dict(),
             conjecture_scan(ns, grid, 5).to_json_dict(),
             # the n = 2 truncated-moment witness ties with two later cells
-            verify_kozniewska([2], GridSpec(points=201), 5).to_json_dict(),
+            verify_sweep([2], ["kozniewska"], GridSpec(points=201), 5)[0].to_json_dict(),
         ]
 
     @pytest.mark.parametrize("budget", [1, 10_007])  # one grid point per block; odd blocks
@@ -383,7 +393,7 @@ class TestSweepBlocks:
 
 class TestKozniewskaVerifier:
     def test_small_sweep_passes(self):
-        rep = verify_kozniewska(range(2, 13), GridSpec(points=501), c_samples=9)
+        (rep,) = verify_sweep(range(2, 13), ["kozniewska"], GridSpec(points=501), c_samples=9)
         assert rep.passed
         assert abs(rep.worst_margin) <= 1e-12
 
@@ -428,7 +438,7 @@ class TestConjectureScan:
 
         for n in (4, 8, 16):
             for x in np.linspace(0.6, 0.95, 9):
-                c = float(rn_profile_c(x, n))
+                c = float(CProfile("rn").c_at(x, n))
                 assert factorial_ratio(float(x), 0, n, c) <= factorial_ratio(float(x), 0, n, 0.0)
 
     def test_direct_oracle_sequence_monotone(self):
@@ -458,7 +468,7 @@ class TestReports:
         assert {"sup", "argmax_x", "grid", "per_n"} <= set(payload)
 
     def test_verification_report_round_trip(self):
-        rep = verify_lemma_claim([3], GridSpec(points=301), 5)
+        (rep,) = verify_sweep([3], ["lemma"], GridSpec(points=301), 5)
         payload = json.loads(dump_json(rep))
         assert payload["schema"] == 1
         assert payload["passed"] == rep.passed

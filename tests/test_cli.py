@@ -5,7 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from polya_bernstein import analysis
+from polya_bernstein import analysis, operators
 from polya_bernstein.cli import cli, main
 
 
@@ -243,6 +243,38 @@ class TestFailurePaths:
         err = json.loads(res.stderr)
         assert err["error"] == "usage"
         assert "--c-samples" in err["message"]
+
+    @pytest.mark.parametrize(
+        "args, complaint",
+        [
+            (["eval", "--op", "bernstein", "--x", "0.3", "--c", "0.5"], "--c"),
+            (["eval", "--op", "rn", "--x", "0.3", "--c", "0.5"], "--c"),
+            (["eval", "--op", "rn", "--grid-points", "0", "--out", "{tmp}"], "--grid-points"),
+            (["eval", "--op", "rn", "--grid-points", "1", "--out", "{tmp}"], "--grid-points"),
+            (["compare", "--points", "0", "--out", "{tmp}"], "--points"),
+            (["compare", "--points", "1", "--out", "{tmp}"], "--points"),
+        ],
+    )
+    def test_eval_and_compare_option_checks(self, tmp_path, capsys, args, complaint):
+        out = tmp_path / "out.csv"
+        args = [a.format(tmp=out) for a in args] + ["--fn", "sin-pi", "--n", "5"]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and complaint in err["message"]
+        assert not out.exists()
+
+    def test_grid_mode_needs_out_before_computing(self, monkeypatch, capsys):
+        def boom(*args):
+            raise RuntimeError("curve computed")
+
+        monkeypatch.setattr(operators, "operator_curve", boom)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--op", "rn", "--fn", "sin-pi", "--n", "5", "--grid-points", "11"])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "--out" in err["message"]
 
     def test_unexpected_exception_exits_2_with_json(self, monkeypatch, capsys):
         def boom():

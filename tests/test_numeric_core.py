@@ -1,72 +1,67 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polya_bernstein.numeric_core import (
-    RealInterval,
-    factorial_ratio,
-    rising_factorial,
-    strict_floor_bracket,
-)
-
-finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+from polya_bernstein.numeric_core import factorial_ratio, strict_floor_bracket
 
 
-class TestRisingFactorial:
-    def test_empty_product_convention(self):
-        assert rising_factorial(0.7, 0, -0.3) == 1.0
+def rising_oracle(x, n, h):
+    """x (x+h) ... (x+(n-1)h) in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        value = mpmath.mpf(1)
+        for i in range(n):
+            value *= mpmath.mpf(x) + i * mpmath.mpf(h)
+        return value
 
-    def test_zero_increment_is_power(self):
-        assert rising_factorial(2.0, 3, 0.0) == 8.0
 
-    def test_classical_pochhammer(self):
-        assert rising_factorial(1.0, 4, 1.0) == 24.0
+def ratio_oracle(x, r, n, c):
+    """x^(r+1,c) (1-x)^(n-r,c) / 1^(n,c) from the product definition."""
+    with mpmath.workdps(50):
+        return float(
+            rising_oracle(x, r + 1, c) * rising_oracle(1 - mpmath.mpf(x), n - r, c)
+            / rising_oracle(1.0, n, c)
+        )
 
-    def test_zero_factor_is_exact_zero(self):
-        assert rising_factorial(0.5, 2, -0.5) == 0.0
 
-    def test_rejects_negative_n(self):
-        with pytest.raises(ValueError):
-            rising_factorial(1.0, -1, 0.0)
-
-    @given(x=finite, h=finite, n=st.integers(min_value=1, max_value=12))
-    def test_recurrence(self, x, h, n):
-        full = rising_factorial(x, n, h)
-        step = rising_factorial(x, n - 1, h) * (x + (n - 1) * h)
-        assert full == pytest.approx(step, rel=1e-12, abs=1e-300)
-
-    @given(
-        x=st.floats(min_value=0.01, max_value=10),
-        h=st.floats(min_value=-0.5, max_value=0.5),
-        alpha=st.floats(min_value=0.01, max_value=100),
-        n=st.integers(min_value=0, max_value=10),
-    )
-    def test_homogeneity(self, x, h, alpha, n):
-        scaled = rising_factorial(alpha * x, n, alpha * h)
-        assert scaled == pytest.approx(alpha**n * rising_factorial(x, n, h), rel=1e-10)
+def check_strict_floor(cases):
+    """strict_floor_bracket on each (a, k) case, one scalar at a time and
+    on all of them as one array."""
+    a = np.array([a for a, _ in cases])
+    want = [k for _, k in cases]
+    got = strict_floor_bracket(a)
+    assert got.dtype.kind == "i" and got.tolist() == want
+    for ai, k in cases:
+        got = strict_floor_bracket(ai)
+        assert type(got) is int and got == k
 
 
 class TestStrictFloorBracket:
     def test_integer_input_steps_down(self):
-        assert strict_floor_bracket(2.0) == 1
+        check_strict_floor([(2.0, 1), (0.0, -1), (-3.0, -4), (200.0, 199)])
 
     def test_non_integer_is_floor(self):
-        assert strict_floor_bracket(2.3) == 2
+        check_strict_floor([(2.3, 2), (0.5, 0), (1e-10, 0), (99.99, 99)])
 
     def test_negative_non_integer(self):
-        assert strict_floor_bracket(-0.5) == -1
+        check_strict_floor([(-0.5, -1), (-2.7, -3), (-1e-10, -1)])
 
     def test_snaps_near_integers(self):
-        assert strict_floor_bracket(3.0 + 1e-14) == 2
-        assert strict_floor_bracket(3.0 - 1e-14) == 2
+        check_strict_floor([
+            (3.0 + 1e-14, 2), (3.0 - 1e-14, 2),
+            (3.0 + 9e-14, 2), (-3.0 + 9e-14, -4), (-3.0 - 9e-14, -4),
+            (1e-13, -1), (-1e-13, -1), (3.0 + 4e-12, 3), (-3.0 + 4e-12, -3),
+            (200.0 + 1e-10, 199), (-200.0 - 1e-10, -201),
+        ])
 
     @given(a=st.floats(min_value=-100, max_value=100))
     def test_defining_property(self, a):
-        k = strict_floor_bracket(a)
         # on the snapped value of a the bracket satisfies k < a <= k+1
         a_eff = round(a) if abs(a - round(a)) <= 1e-12 * max(1, abs(a)) else a
-        assert k < a_eff <= k + 1
+        for k in (strict_floor_bracket(a), int(strict_floor_bracket(np.array([a]))[0])):
+            assert k < a_eff <= k + 1
 
     @given(a=st.floats(min_value=-50, max_value=50))
     def test_reflection_identity(self, a):
@@ -74,6 +69,7 @@ class TestStrictFloorBracket:
         if abs(a - round(a)) < 1e-6:
             return
         assert -math.floor(a + 1) == strict_floor_bracket(-a)
+        assert -math.floor(a + 1) == strict_floor_bracket(np.array([-a, -a]))[1]
 
 
 class TestFactorialRatio:
@@ -85,13 +81,9 @@ class TestFactorialRatio:
         assert factorial_ratio(0.5, 0, 2, -0.5) == 0.0
 
     def test_against_naive_three_product_quotient(self):
-        # frozen from the direct-product oracle below at a benign point
-        naive = (
-            rising_factorial(0.5, 3, -0.1)
-            * rising_factorial(0.5, 4, -0.1)
-            / rising_factorial(1.0, 6, -0.1)
-        )
-        assert naive == pytest.approx(0.004761904761904761, rel=1e-15)
+        # 0.5^(3,-0.1) 0.5^(4,-0.1) / 1^(6,-0.1) = 1/210
+        naive = ratio_oracle(0.5, 2, 6, -0.1)
+        assert naive == pytest.approx(1 / 210, rel=1e-15)
         assert factorial_ratio(0.5, 2, 6, -0.1) == pytest.approx(naive, rel=1e-12)
 
     @given(
@@ -103,11 +95,7 @@ class TestFactorialRatio:
         r = data.draw(st.integers(min_value=0, max_value=n - 1))
         cmin = -min(x, 1 - x) / (n - 1)
         c = data.draw(st.floats(min_value=cmin, max_value=0.0))
-        naive = (
-            rising_factorial(x, r + 1, c)
-            * rising_factorial(1 - x, n - r, c)
-            / rising_factorial(1.0, n, c)
-        )
+        naive = ratio_oracle(x, r, n, c)
         assert factorial_ratio(x, r, n, c) == pytest.approx(naive, rel=1e-12, abs=1e-300)
 
     def test_rejects_vanishing_denominator(self):
@@ -117,17 +105,3 @@ class TestFactorialRatio:
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             factorial_ratio(0.5, 4, 4, 0.0)
-
-
-class TestRealInterval:
-    def test_contains(self):
-        iv = RealInterval(0.0, 1.0)
-        assert iv.contains(0.0) and iv.contains(1.0) and not iv.contains(1.5)
-
-    def test_rejects_inverted(self):
-        with pytest.raises(ValueError):
-            RealInterval(1.0, 0.0)
-
-    def test_rejects_infinite(self):
-        with pytest.raises(ValueError):
-            RealInterval(0.0, math.inf)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -37,14 +38,35 @@ class TestBernstein:
         assert bernstein_eval(builtin_function("square"), 2, 0.5) == pytest.approx(0.375, abs=1e-15)
 
     def test_curve_matches_pointwise(self):
+        # against the sum in 50-digit arithmetic, f(k/n) = sin(pi k/n) included
         f = builtin_function("sin-pi")
         xs = np.linspace(0, 1, 11)
-        curve = bernstein_curve(f, 7, xs)
-        for x, v in zip(xs, curve):
-            assert v == pytest.approx(bernstein_eval(f, 7, float(x)), abs=1e-13)
+        for n in (1, 7, 60):
+            curve = bernstein_curve(f, n, xs)
+            for x, v in zip(xs, curve):
+                with mpmath.workdps(50):
+                    t = mpmath.mpf(float(x))
+                    want = float(mpmath.fsum(
+                        mpmath.sinpi(mpmath.mpf(k) / n) * math.comb(n, k) * t**k * (1 - t) ** (n - k)
+                        for k in range(n + 1)
+                    ))
+                assert v == pytest.approx(want, abs=1e-14)
+                assert bernstein_eval(f, n, float(x)) == pytest.approx(want, abs=1e-14)
 
 
 class TestPolyaOperator:
+    def test_rejects_n_below_one(self):
+        f, xs = builtin_function("sin-pi"), np.linspace(0, 1, 5)
+        for n in (0, -3):
+            for call in (
+                lambda: bernstein_eval(f, n, 0.5),
+                lambda: bernstein_curve(f, n, xs),
+                lambda: polya_operator_eval(f, n, 0.5, CProfile("constant", 0.1)),
+                lambda: operator_curve(f, n, xs, CProfile("constant", 0.1)),
+            ):
+                with pytest.raises(ValueError, match="n must be >= 1"):
+                    call()
+
     def test_zero_profile_degenerates_to_bernstein(self):
         xs = np.linspace(0, 1, 101)
         for name, f in BUILTIN_FUNCTIONS.items():
@@ -89,12 +111,17 @@ class TestRn:
         with pytest.raises(ValueError):
             r_n_eval(builtin_function("linear"), 1, 0.5)
 
-    def test_curve_matches_pointwise(self):
+    def test_curve_matches_pointwise(self, pmf_oracle):
+        # against sum_k f(k/n) p_k(x) over the pmf in 50-digit arithmetic
         f = builtin_function("sqrt")
         xs = np.linspace(0, 1, 21)
+        fk = f(np.arange(10) / 9)
         curve = r_n_curve(f, 9, xs)
         for x, v in zip(xs, curve):
-            assert v == pytest.approx(r_n_eval(f, 9, float(x)), abs=1e-13)
+            x = float(x)
+            want = float(fk @ np.array(pmf_oracle(9, x, -min(x, 1 - x) / 8)))
+            assert v == pytest.approx(want, abs=1e-13)
+            assert r_n_eval(f, 9, x) == pytest.approx(want, abs=1e-13)
 
 
 class TestModulusOfContinuity:

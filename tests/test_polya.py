@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polya_bernstein.polya import (
     AdmissibilityError,
@@ -75,13 +75,20 @@ class TestPmf:
         assert abs(probs.sum() - 1.0) <= 1e-12
         assert probs.min() >= 0.0
 
-    def test_matrix_agrees_with_scalar(self):
-        n = 9
-        xs = np.linspace(0.05, 0.95, 19)
-        cs = -np.minimum(xs, 1 - xs) / (n - 1)
-        mat = pmf_matrix(n, xs, cs)
-        for j, (x, c) in enumerate(zip(xs, cs)):
-            np.testing.assert_allclose(mat[:, j], pmf(PolyaParams(n, x, 1 - x, c)), atol=1e-14)
+    @settings(max_examples=200)
+    @given(
+        n=st.integers(min_value=1, max_value=120),
+        x=st.floats(min_value=0.0, max_value=1.0),
+        frac=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    )
+    def test_matrix_agrees_with_scalar(self, pmf_oracle, n, x, frac):
+        # frac = 0 is c = 0, frac = 1 the rn boundary -min{x,1-x}/(n-1)
+        c = -frac * min(x, 1 - x) / (n - 1) if n > 1 else 0.0
+        want = pmf_oracle(n, x, c)
+        column = pmf_matrix(n, np.array([x, 0.5]), np.array([c, 0.0]))[:, 0]
+        scalar = pmf(PolyaParams(n, x, 1 - x, c))
+        np.testing.assert_allclose(column, want, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(scalar, want, rtol=1e-13, atol=1e-15)
 
     def test_matrix_rejects_inadmissible(self):
         with pytest.raises(AdmissibilityError):
