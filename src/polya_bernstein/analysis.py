@@ -126,7 +126,7 @@ def f_n_c_curve(n: int, xs: np.ndarray, cs) -> np.ndarray:
         raise ValueError(f"F_n^c requires n > 1, got {n}")
     xs = np.asarray(xs, dtype=float)
     cs = np.broadcast_to(np.asarray(cs, dtype=float), xs.shape)
-    r = strict_floor_bracket(n * xs - math.sqrt(n))
+    r = strict_floor_bracket(np.asarray(n * xs - math.sqrt(n)))  # 0-d xs: still an array
     active = (xs > 1.0 / math.sqrt(n)) & (r >= 0)
     out = np.zeros_like(xs)
     if not np.any(active):

@@ -18,18 +18,22 @@ __all__ = [
 
 def strict_floor_bracket(a):
     """Largest integer strictly smaller than a, i.e. the k with k < a <= k+1,
-    elementwise over arrays: an int for a scalar, an int array for an array.
+    elementwise over arrays: an int for a scalar, an int array for an array
+    (0-d included).  Non-finite values raise ValueError.
 
     Values within 1e-12 max(1, |a|) of an integer m are snapped to m first
     (so the result is m-1); elsewhere this is plain floor.  The tolerance
     absorbs the few ulps of noise picked up when a is computed as
     n*x - sqrt(n).
     """
-    v = np.asarray(a, dtype=float)[()]  # a numpy scalar for scalar input: faster
+    v = np.asarray(a, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"strict floor needs finite values, got {a}")
+    v = v[()]  # a numpy scalar for scalar input: faster
     nearest = np.rint(v)
     snapped = np.abs(v - nearest) <= 1e-12 * np.maximum(1.0, np.abs(v))
     k = np.where(snapped, nearest - 1.0, np.floor(v)).astype(int)
-    return k if isinstance(a, np.ndarray) else int(k)
+    return k if isinstance(a, np.ndarray) or np.ndim(a) > 0 else int(k)
 
 
 def factorial_ratio(x: float, r: int, n: int, c: float) -> float:

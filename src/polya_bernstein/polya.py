@@ -122,6 +122,14 @@ def rising_products(n: int, x: np.ndarray, c: np.ndarray):
     in place, factor by factor; this is the reference route that the
     log-space :func:`log_rising` is checked against.
     """
+    return _products(n, x, c, scaled=False)
+
+
+def _products(n: int, x: np.ndarray, c: np.ndarray, scaled: bool):
+    """:func:`rising_products`; scaled=True divides every factor of a column
+    with c > 0 by one power of two near the geometric mean of its 1 + ic.
+    A pmf entry, n factors over n, keeps every bit, and the products stay
+    in the float range at large n c (1^(200,0.5) is about 1e317)."""
     validate_sweep(n, x, c)
     ic = np.arange(n, dtype=float)[:, None] * c[None, :]
     cum_a = np.empty((n + 1, x.size))
@@ -133,6 +141,11 @@ def rising_products(n: int, x: np.ndarray, c: np.ndarray):
     fd = np.add(1.0, ic, out=ic)                   # factor i of 1^(n,c)
     if np.any(fd == 0.0):
         raise ZeroDivisionError("denominator factor 1 + i*c vanishes in the sweep")
+    if scaled and np.any(c > 0.0):
+        scale = np.where(c > 0.0, np.exp2(-np.rint(np.log2(fd).mean(axis=0))), 1.0)
+        cum_a[1:] *= scale
+        cum_b[1:] *= scale
+        fd *= scale
     den = np.prod(fd, axis=0)
     # Row by row rather than multiply.accumulate(axis=0), which strides
     # across columns: the same products in the same order, several times
@@ -158,14 +171,17 @@ def pmf_matrix(n: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Vectorized pmf for parameter family (n, x, 1-x, c), shape (n+1, len(x)).
 
     x and c are broadcast together; every column is the pmf of
-    PolyaParams(n, x_j, 1-x_j, c_j), clipped to [0, 1] after a check that no
-    entry is below -1e-15.  :func:`pmf` is its one-column view.
+    PolyaParams(n, x_j, 1-x_j, c_j), clipped to [0, 1] after a check that
+    every entry is finite and none is below -1e-15.  :func:`pmf` is its
+    one-column view.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     c = np.broadcast_to(np.asarray(c, dtype=float), x.shape)
     if np.any(x < -BOUNDARY_SLACK) or np.any(x > 1 + BOUNDARY_SLACK):
         raise AdmissibilityError("x must lie in [0,1]")
-    probs = _pmf_from_products(*rising_products(n, x, c))
+    probs = _pmf_from_products(*_products(n, x, c, scaled=True))
+    if not np.isfinite(probs).all():
+        raise ArithmeticError(f"pmf entry overflows for n={n}")
     if probs.min() < -_NEG_TOL:
         raise ArithmeticError(f"pmf entry {probs.min()} below rounding tolerance")
     return np.clip(probs, 0.0, 1.0, out=probs)

@@ -139,6 +139,10 @@ class TestFnc:
         for j in range(0, 301, 7):
             assert curve[j] == pytest.approx(f_n_c(n, float(xs[j]), float(cs[j])), abs=1e-14)
 
+    def test_curve_keeps_a_zero_d_grid(self):
+        got = f_n_c_curve(6, np.asarray(0.7), 0.0)
+        assert got.shape == () and float(got) == pytest.approx(f_n_c(6, 0.7, 0.0), rel=1e-13)
+
     def test_vanishes_below_threshold_for_all_c(self):
         for n in (2, 5, 12):
             for x in np.linspace(0, 1 / math.sqrt(n), 20):

@@ -27,15 +27,18 @@ def ratio_oracle(x, r, n, c):
 
 
 def check_strict_floor(cases):
-    """strict_floor_bracket on each (a, k) case, one scalar at a time and
-    on all of them as one array."""
+    """strict_floor_bracket on each (a, k) case, one scalar at a time (a
+    float, a numpy scalar, a 0-d array) and on all of them as one array."""
     a = np.array([a for a, _ in cases])
     want = [k for _, k in cases]
     got = strict_floor_bracket(a)
     assert got.dtype.kind == "i" and got.tolist() == want
     for ai, k in cases:
-        got = strict_floor_bracket(ai)
-        assert type(got) is int and got == k
+        for scalar in (ai, np.float64(ai)):
+            got = strict_floor_bracket(scalar)
+            assert type(got) is int and got == k
+        got = strict_floor_bracket(np.asarray(ai))
+        assert isinstance(got, np.ndarray) and got.shape == () and got == k
 
 
 class TestStrictFloorBracket:
@@ -55,6 +58,13 @@ class TestStrictFloorBracket:
             (1e-13, -1), (-1e-13, -1), (3.0 + 4e-12, 3), (-3.0 + 4e-12, -3),
             (200.0 + 1e-10, 199), (-200.0 - 1e-10, -201),
         ])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            strict_floor_bracket(bad)
+        with pytest.raises(ValueError):
+            strict_floor_bracket(np.array([1.5, bad]))
 
     @given(a=st.floats(min_value=-100, max_value=100))
     def test_defining_property(self, a):

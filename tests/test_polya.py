@@ -90,6 +90,24 @@ class TestPmf:
         np.testing.assert_allclose(column, want, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(scalar, want, rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.parametrize("n, x, c", [(200, 0.3, 0.5), (171, 0.5, 1.0), (200, 0.01, 10.0)])
+    def test_positive_c_at_large_nc(self, pmf_oracle, n, x, c):
+        # 1^(n,c) alone passes the float range here
+        want = pmf_oracle(n, x, c)
+        column = pmf_matrix(n, np.array([0.5, x]), np.array([0.0, c]))[:, 1]
+        np.testing.assert_allclose(column, want, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(pmf(PolyaParams(n, x, 1 - x, c)), want, rtol=1e-13, atol=1e-15)
+
+    def test_positive_c_scaling_keeps_every_bit(self):
+        # columns with c > 0 divide their factors by a power of two
+        n = 60
+        x = np.linspace(0.0, 1.0, 41)
+        c = np.linspace(0.0, 0.2, 41)
+        cum_a, cum_b, den = rising_products(n, x, c)
+        binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+        plain = binom[:, None] * cum_a * cum_b[::-1] / den
+        np.testing.assert_array_equal(pmf_matrix(n, x, c), np.clip(plain, 0.0, 1.0))
+
     def test_matrix_rejects_inadmissible(self):
         with pytest.raises(AdmissibilityError):
             pmf_matrix(4, np.array([0.5]), np.array([-0.4]))
