@@ -24,6 +24,7 @@ from .operators import (
     operator_curve,
     polya_operator_eval,
     popoviciu_ratio,
+    popoviciu_scan,
     r_n_curve,
     r_n_eval,
 )

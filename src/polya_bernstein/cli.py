@@ -130,6 +130,10 @@ def cmd_scan(mode, n_range, c_mode, bound, fn, fn_csv, op, points, out, curves_c
         raise click.UsageError("select one of --sikkema or --popoviciu")
     if bound is not None and mode != "sikkema":
         raise click.UsageError("--bound applies to --sikkema scans only")
+    if curves_csv is not None and mode != "sikkema":
+        raise click.UsageError("--curves-csv applies to --sikkema scans only")
+    if (fn is not None or fn_csv is not None) and mode != "popoviciu":
+        raise click.UsageError("--fn and --fn-csv apply to --popoviciu scans only")
     ns = _parse_range(n_range)
     workers = _resolve_workers(workers)
     grid = GridSpec(points=points)
@@ -144,21 +148,7 @@ def cmd_scan(mode, n_range, c_mode, bound, fn, fn_csv, op, points, out, curves_c
             write_curves_csv(curves_csv, rows())
     else:
         f = _function(fn, fn_csv)
-        per_n = []
-        for n in ns:
-            r = operators.popoviciu_ratio(f, n, grid, operator=op)
-            per_n.append((n, r.sup, r.argmax_x))
-        best = max(per_n, key=lambda t: t[1])
-        from .reports import ScanReport
-
-        report = ScanReport(
-            sup=best[1],
-            argmax_x=best[2],
-            argmax_n=best[0],
-            grid=grid,
-            per_n=tuple(per_n),
-            meta={"operator": op, "function": f.name, "kind": "popoviciu-ratio"},
-        )
+        report = operators.popoviciu_scan(f, ns, grid, operator=op)
     _emit(dump_json(report), out)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,6 +33,7 @@ __all__ = [
     "r_n_curve",
     "modulus_of_continuity",
     "popoviciu_ratio",
+    "popoviciu_scan",
 ]
 
 
@@ -210,41 +210,102 @@ def r_n_curve(f: FunctionSpec, n: int, xs: np.ndarray) -> np.ndarray:
     return operator_curve(f, n, xs, CProfile("rn"))
 
 
-def modulus_of_continuity(f: FunctionSpec, delta: float, resolution: int = 10000) -> float:
-    """Grid modulus of continuity: max |f(u)-f(v)| over grid pairs with
-    |u-v| <= delta, on a uniform grid of resolution+1 points.
-
-    Sliding-window extrema (monotone deques) keep the cost linear in the
-    grid size.  This is an under-estimate of the true modulus; raise the
-    resolution to tighten it.
-    """
+def _modulus_window(delta: float, resolution: int) -> int:
+    """Grid steps within delta on a uniform grid of resolution+1 points."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0,1], got {delta}")
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
-    vals = np.asarray(f(np.linspace(0.0, 1.0, resolution + 1)), dtype=float)
-    window = int(math.floor(delta * resolution + 1e-9))
+    return int(math.floor(delta * resolution + 1e-9))
+
+
+def _modulus_samples(f: FunctionSpec, resolution: int) -> np.ndarray:
+    return np.asarray(f(np.linspace(0.0, 1.0, resolution + 1)), dtype=float)
+
+
+def _window_spread(vals: np.ndarray, window: int) -> float:
+    """Largest max - min of vals over runs of window+1 consecutive samples.
+
+    Block scheme of van Herk (Pattern Recognit. Lett. 13, 1992) and
+    Gil-Werman (IEEE TPAMI 15, 1993): cut vals into blocks of w = window+1,
+    take running extrema forward and backward inside each block; the run
+    starting at j then spans the tail of one block and the head of the
+    next, so its extremum is op(bwd[j], fwd[j+w-1]).  O(M) with a few numpy
+    passes, and exact: max and min pick one of the samples.
+    """
     if window <= 0:
         return 0.0
-    best = 0.0
-    maxq: deque[int] = deque()
-    minq: deque[int] = deque()
-    for i, v in enumerate(vals):
-        while maxq and vals[maxq[-1]] <= v:
-            maxq.pop()
-        maxq.append(i)
-        while minq and vals[minq[-1]] >= v:
-            minq.pop()
-        minq.append(i)
-        lo = i - window
-        if maxq[0] < lo:
-            maxq.popleft()
-        if minq[0] < lo:
-            minq.popleft()
-        spread = vals[maxq[0]] - vals[minq[0]]
-        if spread > best:
-            best = float(spread)
-    return best
+    m = vals.size
+    w = min(window + 1, m)  # a longer window holds every sample
+    runs = m - w + 1
+    # No run starts in a padded last block, and fwd is read below m only,
+    # so the pad values never reach the result.
+    blocks = np.pad(vals, (0, -m % w)).reshape(-1, w)
+    ext = []
+    for op in (np.maximum, np.minimum):
+        fwd = op.accumulate(blocks, axis=1).ravel()
+        bwd = op.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+        ext.append(op(bwd[:runs], fwd[w - 1 : m]))
+    return float((ext[0] - ext[1]).max())
+
+
+def modulus_of_continuity(f: FunctionSpec, delta: float, resolution: int = 10000) -> float:
+    """Grid modulus of continuity: max |f(u)-f(v)| over grid pairs with
+    |u-v| <= delta, on a uniform grid of resolution+1 points.
+
+    The largest spread over every window of floor(delta * resolution) + 1
+    consecutive samples, from O(M) block window extrema.  This is an
+    under-estimate of the true modulus; raise the resolution to tighten it.
+    """
+    window = _modulus_window(delta, resolution)
+    return _window_spread(_modulus_samples(f, resolution), window)
+
+
+def _popoviciu_rows(f, ns, grid, operator, omega_resolution):
+    """(n, sup, argmax_x, omega) of the ratio |Op(f;x) - f(x)| / omega(n^{-1/2})
+    for each n, from f sampled once on the modulus grid and once on the scan
+    grid."""
+    if operator not in ("bernstein", "rn"):
+        raise ValueError(f"unknown operator {operator!r}")
+    vals = _modulus_samples(f, omega_resolution)
+    xs = np.linspace(0.0, 1.0, grid.points)
+    fx = np.asarray(f(xs))
+    for n in ns:
+        if n <= 1:
+            raise ValueError(f"ratio scan requires n > 1, got {n}")
+        omega = _window_spread(vals, _modulus_window(n ** -0.5, omega_resolution))
+        if omega <= 0.0:
+            raise ValueError(f"function {f.name!r} is constant on the grid; ratio undefined")
+        curve = bernstein_curve(f, n, xs) if operator == "bernstein" else r_n_curve(f, n, xs)
+        ratios = np.abs(curve - fx) / omega
+        idx = int(np.argmax(ratios))  # first occurrence: ties break toward smaller x
+        yield n, float(ratios[idx]), float(xs[idx]), omega
+
+
+def popoviciu_scan(
+    f: FunctionSpec,
+    ns: Sequence[int],
+    grid: GridSpec,
+    operator: str = "rn",
+    omega_resolution: int = 10000,
+) -> ScanReport:
+    """Per-n and global sup over the grid of |Op(f;x) - f(x)| / omega(n^{-1/2}).
+
+    operator is "bernstein" or "rn".  The global sup is the first largest
+    per-n sup.  Rejects (near-)constant f, whose ratio is 0/0.
+    """
+    per_n = [row[:3] for row in _popoviciu_rows(f, ns, grid, operator, omega_resolution)]
+    if not per_n:
+        raise ValueError("empty n range")
+    best = max(per_n, key=lambda t: t[1])
+    return ScanReport(
+        sup=best[1],
+        argmax_x=best[2],
+        argmax_n=best[0],
+        grid=grid,
+        per_n=tuple(per_n),
+        meta={"operator": operator, "function": f.name, "kind": "popoviciu-ratio"},
+    )
 
 
 def popoviciu_ratio(
@@ -254,28 +315,12 @@ def popoviciu_ratio(
     operator: str = "rn",
     omega_resolution: int = 10000,
 ) -> ScanReport:
-    """Sup over the grid of |Op(f;x) - f(x)| / omega(n^{-1/2}).
-
-    operator is "bernstein" or "rn".  Rejects (near-)constant f, whose
-    ratio is 0/0.
-    """
-    if n <= 1:
-        raise ValueError(f"ratio scan requires n > 1, got {n}")
-    omega = modulus_of_continuity(f, n ** -0.5, omega_resolution)
-    if omega <= 0.0:
-        raise ValueError(f"function {f.name!r} is constant on the grid; ratio undefined")
-    xs = np.linspace(0.0, 1.0, grid.points)
-    if operator == "bernstein":
-        curve = bernstein_curve(f, n, xs)
-    elif operator == "rn":
-        curve = r_n_curve(f, n, xs)
-    else:
-        raise ValueError(f"unknown operator {operator!r}")
-    ratios = np.abs(curve - np.asarray(f(xs))) / omega
-    idx = int(np.argmax(ratios))  # first occurrence: ties break toward smaller x
+    """The one-n view of :func:`popoviciu_scan`, with omega(n^{-1/2}) in
+    ``meta["omega"]``."""
+    ((n, sup, x, omega),) = _popoviciu_rows(f, [n], grid, operator, omega_resolution)
     return ScanReport(
-        sup=float(ratios[idx]),
-        argmax_x=float(xs[idx]),
+        sup=sup,
+        argmax_x=x,
         grid=grid,
         argmax_n=n,
         meta={"operator": operator, "function": f.name, "omega": omega, "n": n},

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from polya_bernstein import analysis, operators
 from polya_bernstein.cli import cli, main
+from polya_bernstein.reports import GridSpec
 
 
 @pytest.fixture
@@ -96,6 +97,38 @@ class TestScan:
         assert res.exit_code == 0
         payload = json.loads(out.read_text())
         assert payload["sup"] <= 1.08970
+
+    # (n, sup, argmax_x, omega) of `scan --popoviciu --fn sqrt --op bernstein
+    # --n 2..12 --points 2001`, recorded from the deque-loop modulus.
+    SQRT_BERNSTEIN_PIN = (
+        (2, 0.21939334703389152, 0.1505, 0.8408923831264022),
+        (3, 0.2014346185787497, 0.1075, 0.759802605944465),
+        (4, 0.18902143357255344, 0.084, 0.7071067811865476),
+        (5, 0.17969197593610112, 0.069, 0.6687301398920196),
+        (6, 0.17229458766108122, 0.0585, 0.6389053137985315),
+        (7, 0.1662052838062023, 0.0505, 0.6147357155721473),
+        (8, 0.16105455233006774, 0.0445, 0.59455865984779),
+        (9, 0.15661287037096283, 0.04, 0.5773214009544424),
+        (10, 0.15272376880300503, 0.0365, 0.562316636780382),
+        (11, 0.1492727881656833, 0.033, 0.5490901565316938),
+        (12, 0.1461987063509788, 0.0305, 0.5372150407425317),
+    )
+
+    def test_popoviciu_output_is_pinned(self, runner):
+        res = runner.invoke(
+            cli,
+            ["scan", "--popoviciu", "--fn", "sqrt", "--op", "bernstein", "--n", "2..12",
+             "--points", "2001", "--workers", "1"],
+        )
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        pin = self.SQRT_BERNSTEIN_PIN
+        assert [(e["n"], e["sup"], e["argmax_x"]) for e in payload["per_n"]] == [p[:3] for p in pin]
+        assert (payload["argmax_n"], payload["sup"], payload["argmax_x"]) == pin[0][:3]
+        f = operators.builtin_function("sqrt")
+        for n, sup, x, omega in pin:
+            rep = operators.popoviciu_ratio(f, n, GridSpec(points=2001), "bernstein")
+            assert (rep.sup, rep.argmax_x, rep.meta["omega"]) == (sup, x, omega)
 
     def test_curves_csv_export(self, runner, tmp_path):
         out = tmp_path / "scan.json"
@@ -265,6 +298,27 @@ class TestFailurePaths:
         assert err["error"] == "usage" and complaint in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, complaint",
+        [
+            (["--popoviciu", "--fn", "sqrt", "--curves-csv", "{tmp}"], "--curves-csv"),
+            (["--sikkema", "--fn", "sqrt"], "--fn"),
+            (["--sikkema", "--fn-csv", "{table}"], "--fn-csv"),
+        ],
+    )
+    def test_scan_options_of_the_other_mode(self, tmp_path, capsys, args, complaint):
+        out, table = tmp_path / "curves.csv", tmp_path / "table.csv"
+        table.write_text("x,fx\n0,0\n1,1\n")
+        args = [a.format(tmp=out, table=table) for a in args]
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", *args, "--n", "2..3", "--points", "1001", "--workers", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "usage" and complaint in err["message"]
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_grid_mode_needs_out_before_computing(self, monkeypatch, capsys):
         def boom(*args):
             raise RuntimeError("curve computed")
@@ -291,7 +345,8 @@ class TestFailurePaths:
 
 class TestDeterminism:
     def test_identical_json_across_worker_counts(self, tmp_path):
-        args = ["scan", "--sikkema", "--n", "2..8", "--points", "2001"]
+        # sum(2..30) * 2001 cells: enough work for the pool to start
+        args = ["scan", "--sikkema", "--n", "2..30", "--points", "2001"]
         a = run_main([*args, "--workers", "1", "--out", str(tmp_path / "a.json")])
         b = run_main([*args, "--workers", "3", "--out", str(tmp_path / "b.json")])
         assert a.returncode == b.returncode == 0

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from polya_bernstein.operators import (
     operator_curve,
     polya_operator_eval,
     popoviciu_ratio,
+    popoviciu_scan,
     r_n_curve,
     r_n_eval,
 )
@@ -166,6 +168,72 @@ class TestModulusOfContinuity:
             modulus_of_continuity(f, 0.5, resolution=10)
 
 
+def deque_window_spread(vals, window):
+    """Reference for the modulus: the largest max - min over every window of
+    window+1 consecutive samples, by monotone deques, one sample at a time."""
+    if window <= 0:
+        return 0.0
+    best = 0.0
+    maxq, minq = deque(), deque()
+    for i, v in enumerate(vals):
+        while maxq and vals[maxq[-1]] <= v:
+            maxq.pop()
+        maxq.append(i)
+        while minq and vals[minq[-1]] >= v:
+            minq.pop()
+        minq.append(i)
+        lo = i - window
+        if maxq[0] < lo:
+            maxq.popleft()
+        if minq[0] < lo:
+            minq.popleft()
+        spread = vals[maxq[0]] - vals[minq[0]]
+        if spread > best:
+            best = float(spread)
+    return best
+
+
+def _seeded_samples(seed, m):
+    """Random walks, small integers (ties everywhere) and plateaus."""
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.normal(size=m))
+    ties = rng.integers(0, 4, size=m).astype(float)
+    plateaus = np.repeat(rng.normal(size=m // 7 + 1), 7)[:m]
+    return walk, ties, plateaus, np.round(walk, 1)
+
+
+class TestBlockModulus:
+    @pytest.mark.parametrize("m", [101, 1000, 1001, 4099])
+    def test_equals_deque_loop_on_seeded_arrays(self, m):
+        windows = {0, 1, 2, 3, 6, 7, m // 3, m // 2, m - 3, m - 2, m - 1, m, m + 5}
+        for seed in range(3):
+            for vals in _seeded_samples(seed, m):
+                for window in sorted(windows):
+                    got = operators._window_spread(vals, window)
+                    assert got == deque_window_spread(vals, window), (seed, window)
+
+    def test_windows_not_dividing_the_samples(self):
+        vals = _seeded_samples(7, 1001)[0]
+        for window in (2, 3, 5, 9, 11, 99, 250, 333, 998):
+            assert 1001 % (window + 1) != 0
+            assert operators._window_spread(vals, window) == deque_window_spread(vals, window)
+
+    @pytest.mark.parametrize("resolution", [100, 1000, 4097, 10000])
+    def test_modulus_equals_deque_loop(self, resolution):
+        xs = np.linspace(0.0, 1.0, resolution + 1)
+        for f in BUILTIN_FUNCTIONS.values():
+            vals = np.asarray(f(xs), dtype=float)
+            for delta in (0.5 / resolution, 1.0 / resolution, 0.013, 0.2, 2 ** -0.5, 0.99, 1.0):
+                window = math.floor(delta * resolution + 1e-9)
+                assert modulus_of_continuity(f, delta, resolution) == deque_window_spread(
+                    vals, window
+                ), (f.name, delta)
+
+    def test_delta_one_is_the_whole_spread(self):
+        f = builtin_function("sawtooth")
+        assert modulus_of_continuity(f, 1.0, 999) == 1.0
+
+
 class TestSampledTables:
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -219,3 +287,37 @@ class TestPopoviciuRatio:
         omega = rep.meta["omega"]
         val = abs(r_n_eval(f, 5, rep.argmax_x) - float(f(rep.argmax_x))) / omega
         assert val == pytest.approx(rep.sup, rel=1e-12)
+
+
+class TestPopoviciuScan:
+    GRID = GridSpec(points=1001)
+
+    @pytest.mark.parametrize("op", ["bernstein", "rn"])
+    def test_entries_equal_the_one_n_ratio(self, op):
+        knots = np.linspace(0.0, 1.0, 25)
+        table = function_from_samples(knots, np.cumsum(np.random.default_rng(5).normal(size=25)))
+        for f in (builtin_function("sqrt"), builtin_function("sawtooth"), table):
+            ns = [2, 3, 5, 8, 13, 40]
+            rep = popoviciu_scan(f, ns, self.GRID, op)
+            singles = [popoviciu_ratio(f, n, self.GRID, op) for n in ns]
+            assert rep.per_n == tuple((r.argmax_n, r.sup, r.argmax_x) for r in singles)
+            best = max(singles, key=lambda r: r.sup)
+            assert (rep.argmax_n, rep.sup, rep.argmax_x) == (best.argmax_n, best.sup, best.argmax_x)
+            assert rep.meta == {"operator": op, "function": f.name, "kind": "popoviciu-ratio"}
+
+    def test_ties_go_to_the_smallest_n(self, monkeypatch):
+        rows = [(2, 0.5, 0.1, 1.0), (3, 0.75, 0.2, 1.0), (4, 0.75, 0.3, 1.0)]
+        monkeypatch.setattr(operators, "_popoviciu_rows", lambda *args: iter(rows))
+        rep = popoviciu_scan(builtin_function("sqrt"), [2, 3, 4], self.GRID)
+        assert (rep.argmax_n, rep.sup, rep.argmax_x) == (3, 0.75, 0.2)
+
+    def test_rejects_bad_inputs(self):
+        f = builtin_function("sqrt")
+        with pytest.raises(ValueError, match="n > 1"):
+            popoviciu_scan(f, [3, 1], self.GRID)
+        with pytest.raises(ValueError, match="operator"):
+            popoviciu_scan(f, [3], self.GRID, "polya")
+        with pytest.raises(ValueError, match="empty"):
+            popoviciu_scan(f, [], self.GRID)
+        with pytest.raises(ValueError, match="constant"):
+            popoviciu_scan(CONST_ONE, [2, 3], self.GRID)
