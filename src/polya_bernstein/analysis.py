@@ -70,11 +70,6 @@ STRICT_C_CUTOFF = -1e-10
 # grid size and a block stays in cache.  Each column is computed on its own,
 # so blocking changes no output bit.
 BLOCK_BYTES = 2 << 20
-# A pool of two workers costs about 0.03 s to start and stop from the CLI
-# and halves the compute, so it pays above about 0.06 s of serial compute.
-# The costliest kernel per cell, the bracket sum (about 95 ns), reaches that
-# at about 6e5 cells; smaller sweeps run in the calling process.
-POOL_MIN_WORK = 500_000
 
 
 def breakpoints(n: int) -> list[float]:
@@ -269,11 +264,9 @@ def _parse_n_range(n_range: Iterable[int] | tuple[int, int]) -> list[int]:
     return ns
 
 
-def _map_over_n(fn, args_list: Sequence, workers: int, work: int) -> list:
-    """Deterministic per-n map; worker count never changes the reduction
-    order.  work is the sweep's cell count, sum(n) * points * c-samples; below
-    POOL_MIN_WORK the map runs in this process whatever ``workers`` says."""
-    if workers > 1 and len(args_list) > 1 and work >= POOL_MIN_WORK:
+def _map_over_n(fn, args_list: Sequence, workers: int = 1) -> list:
+    """Deterministic per-n map; worker count never changes the reduction order."""
+    if workers > 1 and len(args_list) > 1:
         with multiprocessing.Pool(min(workers, len(args_list))) as pool:
             return pool.map(fn, args_list)
     return [fn(a) for a in args_list]
@@ -307,9 +300,7 @@ def scan_sup(
         bound = "bracket" if c_mode == "zero" else "majorant"
     elif bound not in BOUNDS:
         raise ValueError(f"unknown bound {bound!r}; use one of {', '.join(BOUNDS)}")
-    per_n = _map_over_n(
-        _scan_sup_one, [(n, c_mode, grid, bound) for n in ns], workers, sum(ns) * grid.points
-    )
+    per_n = _map_over_n(_scan_sup_one, [(n, c_mode, grid, bound) for n in ns], workers)
     best_n, best_sup, best_x = per_n[0]
     for n, sup_n, ax in per_n[1:]:
         if sup_n > best_sup:
@@ -596,10 +587,7 @@ def verify_sweep(
     ns = _parse_n_range(n_range)
     todo = tuple(name for name in SWEEPS if name in checks)
     results = _map_over_n(
-        _verify_sweep_one,
-        [(n, grid, c_samples, todo) for n in ns],
-        workers,
-        sum(ns) * grid.points * c_samples,
+        _verify_sweep_one, [(n, grid, c_samples, todo) for n in ns], workers
     )
     return [SWEEPS[name].report([res[name] for res in results]) for name in todo]
 
@@ -737,10 +725,7 @@ def conjecture_scan(
         raise ValueError(f"c grid needs >= 2 points, got {c_grid_size}")
     ns = _parse_n_range(n_range)
     results = _map_over_n(
-        _conjecture_one,
-        [(n, grid, c_grid_size, c_max) for n in ns],
-        workers,
-        sum(ns) * grid.points * c_grid_size,
+        _conjecture_one, [(n, grid, c_grid_size, c_max) for n in ns], workers
     )
     worst = math.inf
     witness: dict[str, Any] = {}

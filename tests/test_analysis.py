@@ -233,8 +233,7 @@ class TestScanSup:
         assert recomputed == rep.sup
         assert sikkema_function(7, rep.argmax_x, "zero") == pytest.approx(rep.sup, rel=1e-14)
 
-    def test_workers_do_not_change_result(self, monkeypatch):
-        monkeypatch.setattr(analysis, "POOL_MIN_WORK", 0)  # the pool runs, however small
+    def test_workers_do_not_change_result(self):
         grid = GridSpec(points=2001)
         a = scan_sup(range(2, 9), "zero", grid, workers=1)
         b = scan_sup(range(2, 9), "zero", grid, workers=3)
@@ -354,61 +353,11 @@ class TestLemmaVerifier:
                 rhs = float(x) * (1 - float(x)) ** n
                 assert lhs < rhs
 
-    def test_workers_deterministic(self, monkeypatch):
-        monkeypatch.setattr(analysis, "POOL_MIN_WORK", 0)  # the pool runs, however small
+    def test_workers_deterministic(self):
         grid = GridSpec(points=301)
         a = verify_sweep(range(2, 9), ["lemma"], grid, 5, workers=1)
         b = verify_sweep(range(2, 9), ["lemma"], grid, 5, workers=2)
         assert a == b
-
-
-class _RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, maps in process."""
-
-    sizes: list = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(a) for a in items]
-
-
-class TestPoolThreshold:
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        monkeypatch.setattr(analysis.multiprocessing, "Pool", _RecordingPool)
-        monkeypatch.setattr(_RecordingPool, "sizes", [])
-        return _RecordingPool.sizes
-
-    def test_threshold_is_on_the_work(self, pools):
-        args = [(1,), (2, 3), (4, 5, 6)]
-        assert analysis._map_over_n(len, args, 2, analysis.POOL_MIN_WORK - 1) == [1, 2, 3]
-        assert pools == []
-        assert analysis._map_over_n(len, args, 2, analysis.POOL_MIN_WORK) == [1, 2, 3]
-        assert analysis._map_over_n(len, args, 5, analysis.POOL_MIN_WORK) == [1, 2, 3]
-        assert analysis._map_over_n(len, args, 1, 10**12) == [1, 2, 3]
-        assert pools == [2, 3]
-
-    def test_sweeps_count_sum_n_points_and_c_samples(self, pools):
-        # sum(2..8) = 35: 35 * 2001 * 21 cells start a pool, 35 * 2001 do not
-        small, large = GridSpec(points=2001), GridSpec(points=2001 * 21)
-        ns = range(2, 9)
-        assert 35 * 2001 < analysis.POOL_MIN_WORK <= 35 * 2001 * 21
-        scan_sup(ns, "rn", small, workers=2)
-        verify_sweep(ns, ["lemma"], small, 1, workers=2)
-        conjecture_scan(ns, GridSpec(points=1000), 2, workers=2)
-        assert pools == []
-        scan_sup(ns, "rn", large, workers=2)
-        verify_sweep(ns, ["lemma"], small, 21, workers=2)
-        conjecture_scan(ns, small, 21, workers=2)
-        assert pools == [2, 2, 2]
 
 
 class TestSweepBlocks:
