@@ -35,7 +35,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .numeric_core import factorial_ratio, strict_floor_bracket
+from .numeric_core import binomial_row, factorial_ratio, strict_floor_bracket
 from .operators import CProfile
 from .polya import (
     PolyaParams,
@@ -135,9 +135,8 @@ def f_n_c_curve(n: int, xs: np.ndarray, cs) -> np.ndarray:
     c = cs[active]
     validate_sweep(n, x, c)
     rr = np.minimum(r[active], n - 1)
-    log_binom = np.array([math.log(math.comb(n - 1, k)) for k in range(n)])
     out[active] = np.exp(
-        log_binom[rr]
+        binomial_row(n - 1, log=True)[rr]
         + log_rising(x, rr + 1, c)
         + log_rising(1.0 - x, n - rr, c)
         - log_rising(1.0, n, c)
@@ -387,7 +386,8 @@ class _LemmaSweep:
             under = rhs_x < np.finfo(float).tiny
             if np.any(under):
                 t = np.nonzero(strict & np.repeat(under, cs))[0]
-                fail[t] = _lemma_log_ratio(n, r, X[s + t], C[s + t]) >= 0.0
+                if t.size:  # empty at x = 1: rhs is 0 there, but c = -0.0 is not strict
+                    fail[t] = _lemma_log_ratio(n, r, X[s + t], C[s + t]) >= 0.0
             if np.any(fail):
                 f = np.nonzero(fail)[0]
                 jf = int(f[np.argmin(margin[f])])
@@ -456,7 +456,7 @@ class _KozniewskaSweep:
 
     def __init__(self, n: int, c_samples: int):
         self.n = n
-        self.binom_n1 = np.array([math.comb(n - 1, k) for k in range(n)], dtype=float)
+        self.binom_n1 = binomial_row(n - 1)
         self.k_n = np.arange(n + 1, dtype=float)[:, None] / n
         self.worst = np.full(n, -math.inf)
         self.wx = np.zeros(n)

@@ -112,13 +112,15 @@ def cmd_eval(op, fn, fn_csv, n, x, c, grid_points, out):
 @click.option("--sikkema", "mode", flag_value="sikkema")
 @click.option("--popoviciu", "mode", flag_value="popoviciu")
 @click.option("--n", "n_range", required=True, help="n range lo..hi")
-@click.option("--c-mode", type=click.Choice(["zero", "rn"]), default="zero", show_default=True)
+@click.option("--c-mode", type=click.Choice(["zero", "rn"]), default=None,
+              help="replacement profile of --sikkema scans  [default: zero]")
 @click.option("--bound", type=click.Choice(analysis.BOUNDS), default=None,
               help="quantity scanned by --sikkema: Sikkema's bracket sum or the "
                    "F_n^c majorant (default: bracket for --c-mode zero, majorant for rn)")
 @click.option("--fn", "fn", default=None)
 @click.option("--fn-csv", "fn_csv", default=None, type=click.Path(exists=True))
-@click.option("--op", "op", type=click.Choice(["bernstein", "rn"]), default="rn", show_default=True)
+@click.option("--op", "op", type=click.Choice(["bernstein", "rn"]), default=None,
+              help="operator of --popoviciu scans  [default: rn]")
 @click.option("--points", type=int, default=DEFAULT_POINTS, show_default=True)
 @click.option("--out", "out", type=click.Path(), default=None, help="JSON report path (default stdout)")
 @click.option("--curves-csv", type=click.Path(), default=None, help="per-n curve export (n,x,value)")
@@ -130,6 +132,10 @@ def cmd_scan(mode, n_range, c_mode, bound, fn, fn_csv, op, points, out, curves_c
         raise click.UsageError("select one of --sikkema or --popoviciu")
     if bound is not None and mode != "sikkema":
         raise click.UsageError("--bound applies to --sikkema scans only")
+    if c_mode is not None and mode != "sikkema":
+        raise click.UsageError("--c-mode applies to --sikkema scans only")
+    if op is not None and mode != "popoviciu":
+        raise click.UsageError("--op applies to --popoviciu scans only")
     if curves_csv is not None and mode != "sikkema":
         raise click.UsageError("--curves-csv applies to --sikkema scans only")
     if (fn is not None or fn_csv is not None) and mode != "popoviciu":
@@ -138,6 +144,7 @@ def cmd_scan(mode, n_range, c_mode, bound, fn, fn_csv, op, points, out, curves_c
     workers = _resolve_workers(workers)
     grid = GridSpec(points=points)
     if mode == "sikkema":
+        c_mode = c_mode or "zero"
         report = analysis.scan_sup(ns, c_mode=c_mode, grid=grid, workers=workers, bound=bound)
         if curves_csv is not None:
             def rows():
@@ -148,7 +155,7 @@ def cmd_scan(mode, n_range, c_mode, bound, fn, fn_csv, op, points, out, curves_c
             write_curves_csv(curves_csv, rows())
     else:
         f = _function(fn, fn_csv)
-        report = operators.popoviciu_scan(f, ns, grid, operator=op)
+        report = operators.popoviciu_scan(f, ns, grid, operator=op or "rn")
     _emit(dump_json(report), out)
 
 

@@ -1,18 +1,23 @@
 """Shared floating-point primitives.
 
-The strict-floor bracket used for truncation indices and a stabilized
+The strict-floor bracket used for truncation indices, a stabilized
 three-factorial ratio, the scalar closed-form kernel behind the point
-evaluations of F_n^c.  Everything here is pure and safe to call from any
-number of workers.
+evaluations of F_n^c, and the cached binomial row that the pmf, Bernstein
+and F_n^c code reads.  Everything here is deterministic and safe to call
+from any number of workers.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
 __all__ = [
     "strict_floor_bracket",
     "factorial_ratio",
+    "binomial_row",
 ]
 
 
@@ -58,3 +63,23 @@ def factorial_ratio(x: float, r: int, n: int, c: float) -> float:
             raise ZeroDivisionError(f"denominator factor 1 + {i}*c vanishes for c={c}")
         prod *= num[i] / den
     return prod * num[n]
+
+
+@functools.lru_cache(maxsize=512)
+def binomial_row(n: int, log: bool = False) -> np.ndarray:
+    """C(n, k) for k = 0..n as floats, or with log=True their math.log,
+    read-only and cached per (n, log).
+
+    The coefficients come exact from the integer recurrence
+    C(n, k+1) = C(n, k) (n-k) // (k+1) and are rounded once, so the row
+    equals ``[math.comb(n, k) ...]`` bit for bit.  The log row logs the
+    exact integers, not the rounded floats (np.log of the float row can
+    move a last bit), and has no size cap; the float row raises
+    OverflowError once C(n, n/2) passes the float range (n > 1029).
+    """
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    out = np.array([math.log(v) for v in row] if log else row, dtype=float)
+    out.flags.writeable = False
+    return out

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .numeric_core import binomial_row
 from .polya import PolyaParams, pmf, pmf_matrix
 from .reports import GridSpec, ScanReport
 
@@ -158,8 +159,7 @@ def bernstein_curve(f: FunctionSpec, n: int, xs: np.ndarray) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     xs = np.asarray(xs, dtype=float)
     k = np.arange(n + 1, dtype=float)
-    binom = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
-    weights = binom[:, None] * xs[None, :] ** k[:, None] * (1.0 - xs)[None, :] ** (n - k)[:, None]
+    weights = binomial_row(n)[:, None] * xs[None, :] ** k[:, None] * (1.0 - xs)[None, :] ** (n - k)[:, None]
     return np.asarray(f(k / n)) @ weights
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric_core import factorial_ratio
+from .numeric_core import binomial_row, factorial_ratio
 
 __all__ = [
     "AdmissibilityError",
@@ -34,6 +34,12 @@ __all__ = [
 # Slack for the boundary case where a + (n-1)c is meant to be exactly 0 but
 # floating evaluation of c = -min{a,b}/(n-1) lands a few ulps below.
 BOUNDARY_SLACK = 1e-14
+
+# Sweeps this wide accumulate their rising products row by row, narrower
+# ones in one multiply.accumulate per array.  On 2 vCPUs (numpy 2.4) the two
+# break even near 384 columns at n = 20 and near 450 at n = 200; at n = 200
+# one column takes 3 us against 0.5 ms, 4096 columns 6.7 ms against 1.4 ms.
+ROW_LOOP_MIN_COLUMNS = 384
 
 _SUM_TOL = 1e-12
 _NEG_TOL = 1e-15
@@ -147,21 +153,22 @@ def _products(n: int, x: np.ndarray, c: np.ndarray, scaled: bool):
         cum_b[1:] *= scale
         fd *= scale
     den = np.prod(fd, axis=0)
-    # Row by row rather than multiply.accumulate(axis=0), which strides
-    # across columns: the same products in the same order, several times
-    # faster.
-    for i in range(2, n + 1):
-        np.multiply(cum_a[i - 1], cum_a[i], out=cum_a[i])
-        np.multiply(cum_b[i - 1], cum_b[i], out=cum_b[i])
+    # The same products in the same order either way: one call that strides
+    # across the columns, or n contiguous calls.
+    if x.size < ROW_LOOP_MIN_COLUMNS:
+        np.multiply.accumulate(cum_a, axis=0, out=cum_a)
+        np.multiply.accumulate(cum_b, axis=0, out=cum_b)
+    else:
+        for i in range(2, n + 1):
+            np.multiply(cum_a[i - 1], cum_a[i], out=cum_a[i])
+            np.multiply(cum_b[i - 1], cum_b[i], out=cum_b[i])
     return cum_a, cum_b, den
 
 
 def _pmf_from_products(cum_a: np.ndarray, cum_b: np.ndarray, den: np.ndarray) -> np.ndarray:
     """C(n,k) x^(k,c) (1-x)^(n-k,c) / 1^(n,c) from the :func:`rising_products`
     of a family, written over cum_a and returned unclipped."""
-    n = cum_a.shape[0] - 1
-    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    probs = np.multiply(binom[:, None], cum_a, out=cum_a)
+    probs = np.multiply(binomial_row(cum_a.shape[0] - 1)[:, None], cum_a, out=cum_a)
     probs *= cum_b[::-1]
     probs /= den
     return probs
@@ -287,6 +294,8 @@ def truncated_first_moment(
     if method == "closed":
         return math.comb(n - 1, r) * factorial_ratio(params.a, r, n, params.c)
     if method == "brute":
-        probs = pmf(params)
-        return float(sum((params.a - k / n) * probs[k] for k in range(r + 1)))
+        terms = (params.a - np.arange(r + 1) / n) * pmf(params)[: r + 1]
+        # Summed in k order; + 0.0 turns a -0.0 total into 0.0, as a sum
+        # started from 0 does.
+        return float(np.add.accumulate(terms)[-1]) + 0.0
     raise ValueError(f"unknown method {method!r}")

@@ -304,6 +304,8 @@ class TestFailurePaths:
             (["--popoviciu", "--fn", "sqrt", "--curves-csv", "{tmp}"], "--curves-csv"),
             (["--sikkema", "--fn", "sqrt"], "--fn"),
             (["--sikkema", "--fn-csv", "{table}"], "--fn-csv"),
+            (["--sikkema", "--op", "bernstein"], "--op"),
+            (["--popoviciu", "--fn", "sqrt", "--c-mode", "rn"], "--c-mode"),
         ],
     )
     def test_scan_options_of_the_other_mode(self, tmp_path, capsys, args, complaint):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polya_bernstein.numeric_core import factorial_ratio, strict_floor_bracket
+from polya_bernstein.numeric_core import binomial_row, factorial_ratio, strict_floor_bracket
 
 
 def rising_oracle(x, n, h):
@@ -115,3 +115,32 @@ class TestFactorialRatio:
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             factorial_ratio(0.5, 4, 4, 0.0)
+
+
+class TestBinomialRow:
+    # C(1030, 515) is above the largest float
+    FLOAT_CAP = 1029
+
+    def test_equals_exact_binomials_up_to_the_float_cap(self):
+        # Pascal's rule gives every row exactly; math.comb, about 15 us a
+        # call at these sizes, checks it on a sample of rows.
+        want = [1]
+        for n in range(self.FLOAT_CAP + 1):
+            if n <= 64 or n % 100 == 0 or n == self.FLOAT_CAP:
+                assert want == [math.comb(n, k) for k in range(n + 1)]
+            assert np.array_equal(binomial_row(n), np.array(want, dtype=float))
+            assert np.array_equal(binomial_row(n, log=True), [math.log(v) for v in want])
+            want = [1] + [a + b for a, b in zip(want, want[1:])] + [1]
+
+    def test_float_row_overflows_past_the_cap_but_the_log_row_does_not(self):
+        with pytest.raises(OverflowError):
+            binomial_row(self.FLOAT_CAP + 1)
+        n = 2 * self.FLOAT_CAP
+        assert binomial_row(n, log=True)[n // 2] == math.log(math.comb(n, n // 2))
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_cached_row_is_read_only(self, log):
+        row = binomial_row(12, log=log)
+        assert row is binomial_row(12, log=log)
+        with pytest.raises(ValueError):
+            row[3] = 0.0

@@ -22,6 +22,7 @@ from polya_bernstein.operators import (
     r_n_curve,
     r_n_eval,
 )
+from polya_bernstein.polya import PolyaParams, pmf, truncated_first_moment
 from polya_bernstein.reports import GridSpec
 
 CONST_ONE = operators.FunctionSpec("one", lambda t: np.ones_like(t))
@@ -321,3 +322,53 @@ class TestPopoviciuScan:
             popoviciu_scan(f, [], self.GRID)
         with pytest.raises(ValueError, match="constant"):
             popoviciu_scan(CONST_ONE, [2, 3], self.GRID)
+
+
+class TestPointQueryPins:
+    # (n, pmf(n, 0.6, 1.4, -0.3/(n-1)) and pmf(n, 0.3, 0.7, 0.5) at
+    # k in {0, n//3, n//2, n}, polya_operator_eval(sin-pi, n, 0.3) under the
+    # rn, zero and constant(0.02) profiles, bernstein_eval(sin-pi, n, 0.3),
+    # truncated_first_moment(PolyaParams(n, 0.3, 0.7, -0.15/(n-1)), n//2)
+    # closed and brute), recorded from the row-loop products and the
+    # per-call math.comb tables.
+    PINS = (
+        (
+            2,
+            (0.4529411764705882, 0.49411764705882355, 0.052941176470588235),
+            (0.5599999999999999, 0.27999999999999997, 0.16),
+            (0.6, 0.42, 0.4117647058823529),
+            0.42,
+            (0.03705882352941176, 0.03705882352941174),
+        ),
+        (
+            57,
+            (1.8256669247489137e-10, 0.10227088054934988, 0.0004996633639251206, 3.470029920977658e-36),
+            (0.09839915896407767, 0.01723525343313708, 0.013303189419687344, 0.0022927544172560194),
+            (0.7987878494929788, 0.7943631859573127, 0.778230052758089),
+            0.7943631859573126,
+            (5.7198306133533566e-05, 5.71983061335322e-05),
+        ),
+        (
+            200,
+            (6.799772408441843e-35, 0.03973868942562626, 5.3278306268413433e-11, 4.187788427067234e-125),
+            (0.046748778870561336, 0.004999665890444407, 0.003771306367048525, 0.00040103349232100115),
+            (0.8060880501110337, 0.8048295119974958, 0.7884602146832591),
+            0.804829511997496,
+            (5.983769573362004e-12, 5.983750466726767e-12),
+        ),
+    )
+
+    @pytest.mark.parametrize("pin", PINS, ids=lambda p: f"n={p[0]}")
+    def test_point_queries_are_pinned(self, pin):
+        n, pmf_neg, pmf_pos, ops, bern, moments = pin
+        ks = sorted({0, n // 3, n // 2, n})
+        cneg = -0.15 / (n - 1)
+        assert tuple(pmf(PolyaParams(n, 0.6, 1.4, 2 * cneg))[ks]) == pmf_neg
+        assert tuple(pmf(PolyaParams(n, 0.3, 0.7, 0.5))[ks]) == pmf_pos
+        f = builtin_function("sin-pi")
+        kinds = ("rn", "zero", "constant")
+        assert tuple(polya_operator_eval(f, n, 0.3, CProfile(k, 0.02)) for k in kinds) == ops
+        assert bernstein_eval(f, n, 0.3) == bern
+        params = PolyaParams(n, 0.3, 0.7, cneg)
+        methods = ("closed", "brute")
+        assert tuple(truncated_first_moment(params, n // 2, m) for m in methods) == moments

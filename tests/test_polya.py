@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polya_bernstein import polya
 from polya_bernstein.polya import (
     AdmissibilityError,
     PolyaParams,
@@ -111,6 +112,37 @@ class TestPmf:
     def test_matrix_rejects_inadmissible(self):
         with pytest.raises(AdmissibilityError):
             pmf_matrix(4, np.array([0.5]), np.array([-0.4]))
+
+
+def row_loop_products(n, x, c):
+    """The scaled rising products of polya._products, accumulated one row
+    at a time whatever the width."""
+    ic = np.arange(n, dtype=float)[:, None] * c[None, :]
+    fa, fb, fd = x[None, :] + ic, (1.0 - x)[None, :] + ic, 1.0 + ic
+    scale = np.where(c > 0.0, np.exp2(-np.rint(np.log2(fd).mean(axis=0))), 1.0)
+    fa, fb, fd = fa * scale, fb * scale, fd * scale
+    cum_a = np.ones((n + 1, x.size))
+    cum_b = np.ones((n + 1, x.size))
+    for i in range(n):
+        cum_a[i + 1] = cum_a[i] * fa[i]
+        cum_b[i + 1] = cum_b[i] * fb[i]
+    return cum_a, cum_b, np.prod(fd, axis=0)
+
+
+class TestProductWidths:
+    CROSS = polya.ROW_LOOP_MIN_COLUMNS
+
+    @pytest.mark.parametrize("width", [1, CROSS - 1, CROSS, CROSS + 1, 5000])
+    @pytest.mark.parametrize("sign", [-1, 0, 1])
+    def test_both_routes_equal_the_row_loop(self, width, sign):
+        n = 120
+        rng = np.random.default_rng(width)
+        x = rng.uniform(0.0, 1.0, width)
+        c = rng.uniform(0.0, 1.0, width)
+        c = -c * np.minimum(x, 1.0 - x) / (n - 1) if sign < 0 else sign * c
+        got = polya._products(n, x, c, scaled=True)
+        for have, want in zip(got, row_loop_products(n, x, c)):
+            assert np.array_equal(have, want)
 
 
 def log_rising_oracle(x, k, c):
@@ -242,6 +274,20 @@ class TestTruncatedFirstMoment:
         closed = truncated_first_moment(params, r, "closed")
         brute = truncated_first_moment(params, r, "brute")
         assert closed == pytest.approx(brute, abs=1e-12)
+
+    @given(
+        n=st.integers(min_value=2, max_value=200),
+        a=st.floats(min_value=0.0, max_value=1.0),
+        frac=st.floats(min_value=-1.0, max_value=1.0),
+        data=st.data(),
+    )
+    def test_brute_sum_repeats_the_generator_sum(self, n, a, frac, data):
+        r = data.draw(st.integers(min_value=0, max_value=n - 1))
+        c = frac * min(a, 1 - a) / (n - 1)
+        params = PolyaParams(n, a, 1 - a, c)
+        probs = pmf(params)
+        want = float(sum((a - k / n) * probs[k] for k in range(r + 1)))
+        assert repr(truncated_first_moment(params, r, "brute")) == repr(want)
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ValueError, match="a\\+b = 1"):
