@@ -18,9 +18,12 @@ two Sikkema-style quantities over n and x:
     lam <= 1.  This is the bound the paper proves for the boundary profile.
 
 It also verifies the rising-factorial inequality underlying the c <= 0
-comparison, cross-checks the closed form against brute-force pmf sums,
-reproduces the n = 6 case bounds, and explores the monotonicity-in-c
-conjecture.
+comparison ("lemma"), cross-checks the closed form against brute-force pmf
+sums ("kozniewska"), reproduces the n = 6 case bounds, and explores the
+monotonicity-in-c conjecture.  The lemma, Kozniewska and conjecture checks
+run through one per-n engine, :func:`_sweep_n`: one point-major layout of
+(x, c) cells, one loop over blocks of them, and one witness rule,
+:func:`_first_min`, under which the first cell of an extreme value wins.
 
 F_n^c jumps at the breakpoints x = 1/sqrt(n) + k/n where r(x) changes, and
 S_n^c at x = k/n +- m/sqrt(n) where a bracket changes, so sup scans refine
@@ -46,7 +49,7 @@ from .polya import (
     validate,
     validate_sweep,
 )
-from .reports import GridSpec, ScanReport, VerificationReport
+from .reports import BREAKPOINT_OFFSET, GridSpec, ScanReport, VerificationReport
 
 __all__ = [
     "f_n_c",
@@ -166,22 +169,18 @@ def _sym_scan_grid(n: int, grid: GridSpec, jumps: Sequence[float] | None = None)
     """Scan grid on [0,1], exactly closed under x -> 1-x.
 
     jumps (default: the majorant's :func:`breakpoints`) are refined
-    one-sided when the grid spec asks for it.  Candidates are folded into
-    the upper half [1/2, 1] (where 1-x is exact in floating point) and
-    mirrored back, so every grid point's reflection is itself a grid point
-    bit-for-bit.
+    one-sided, BREAKPOINT_OFFSET inside each half-open piece.  Candidates
+    are folded into the upper half [1/2, 1] (where 1-x is exact in floating
+    point) and mirrored back, so every grid point's reflection is itself a
+    grid point bit-for-bit.
     """
-    cands = [np.linspace(0.0, 1.0, grid.points)]
-    if grid.refine_breakpoints:
-        off = grid.breakpoint_offset
-        extra = []
-        for b in breakpoints(n) if jumps is None else jumps:
-            for p in (b - off, b, b + off):
-                if 0.0 <= p <= 1.0:
-                    extra.append(p)
-        if extra:
-            cands.append(np.array(extra))
-    pts = np.concatenate(cands)
+    extra = [
+        p
+        for b in (breakpoints(n) if jumps is None else jumps)
+        for p in (b - BREAKPOINT_OFFSET, b, b + BREAKPOINT_OFFSET)
+        if 0.0 <= p <= 1.0
+    ]
+    pts = np.concatenate([np.linspace(0.0, 1.0, grid.points), extra])
     upper = np.where(pts >= 0.5, pts, 1.0 - pts)
     upper = np.unique(upper)
     return np.unique(np.concatenate([1.0 - upper, upper]))
@@ -286,8 +285,9 @@ def scan_sup(
     constant, and the majorant for c_mode "rn", the paper's bound for the
     urn operator.  The report records it as ``meta["bound"]``.
 
-    One-sided refinement at the quantity's jumps is controlled by the grid
-    spec; the global reduction breaks ties lexicographically on (n, x).
+    The grid is refined one-sided at the quantity's jumps; the global sup
+    is the first largest per-n sup, so ties break lexicographically on
+    (n, x).
     """
     ns = _parse_n_range(n_range)
     if ns[-1] > 200:
@@ -300,10 +300,7 @@ def scan_sup(
     elif bound not in BOUNDS:
         raise ValueError(f"unknown bound {bound!r}; use one of {', '.join(BOUNDS)}")
     per_n = _map_over_n(_scan_sup_one, [(n, c_mode, grid, bound) for n in ns], workers)
-    best_n, best_sup, best_x = per_n[0]
-    for n, sup_n, ax in per_n[1:]:
-        if sup_n > best_sup:
-            best_n, best_sup, best_x = n, sup_n, ax
+    best_n, best_sup, best_x = max(per_n, key=lambda t: t[1])
     return ScanReport(
         sup=best_sup,
         argmax_x=best_x,
@@ -338,7 +335,53 @@ def _lemma_log_ratio(n: int, r: int, x: np.ndarray, c: np.ndarray) -> np.ndarray
     )
 
 
-class _LemmaSweep:
+def _first_min(worst: np.ndarray, where: np.ndarray, values: np.ndarray, cells) -> None:
+    """For each slot (row of values), keep the smallest value seen so far in
+    worst and its cell in where; cells broadcasts against values.  A value
+    replaces the kept one only when strictly smaller, so ties keep the
+    first cell, and updates block by block in cell order pick what one
+    argmin over all cells would."""
+    j = np.argmin(values, axis=1)
+    low = values[np.arange(j.size), j]
+    better = np.flatnonzero(low < worst)
+    if better.size:
+        worst[better] = low[better]
+        where[better] = np.broadcast_to(cells, values.shape)[better, j[better]]
+
+
+def _sweep_n(n: int, xs: np.ndarray, cgrid: np.ndarray, sweeps: list) -> list[dict[str, Any]]:
+    """One pass of the verifier sweeps over the (x, c) cells of one n: cell
+    g*cs + j holds x = xs[g] and c = cgrid[g, j].  Each block of whole grid
+    points has its rising products computed once, for every sweep in list
+    order; the sweeps read their witness cells back from X and C."""
+    cs = cgrid.shape[1]
+    X = np.repeat(xs, cs)
+    C = cgrid.ravel()
+    rmax = _rmax(n, xs)
+    for g0, g1 in _blocks(xs.size, 8 * (n + 1) * cs):
+        s0, s1 = g0 * cs, g1 * cs
+        products = rising_products(n, X[s0:s1], C[s0:s1])
+        cells = np.arange(s0, s1)
+        for sweep in sweeps:
+            sweep.block(cells, xs[g0:g1], rmax[g0:g1], X[s0:s1], C[s0:s1], *products)
+    return [sweep.result(X, C) for sweep in sweeps]
+
+
+class _Sweep:
+    """Per-n state of a verifier check: per slot, the smallest value seen in
+    worst and its cell in where, kept by :func:`_first_min`."""
+
+    def __init__(self, n: int, cs: int, slots):
+        self.n, self.cs, self.checked = n, cs, 0
+        self.worst = np.full(slots, math.inf)
+        self.where = np.zeros(slots, dtype=int)
+
+    def witness(self, X: np.ndarray, C: np.ndarray, slot, **extra) -> dict[str, Any]:
+        cell = self.where[slot]
+        return {"n": self.n, "x": float(X[cell]), "c": float(C[cell]), **extra}
+
+
+class _LemmaSweep(_Sweep):
     """Per-n state of the rising-factorial inequality check ("lemma"):
     x^(r+1,c)(1-x)^(n-r,c)/1^(n,c) <= x^(r+1) (1-x)^(n-r) over grid x,
     integer 0 <= r <= n x - sqrt(n), and c_samples values spanning
@@ -349,36 +392,24 @@ class _LemmaSweep:
     Where the right side underflows below the smallest normal float, the
     two sides are compared through their logs.
 
-    Each r keeps its worst margin (and its worst failing strict margin)
-    over the blocks seen so far; a later block replaces it only when
-    strictly worse, so the first column wins ties, as a single unblocked
-    argmin over the columns would."""
+    Slot (r, 0) keeps the worst margin of r, slot (r, 1) its worst failing
+    strict margin."""
 
     def __init__(self, n: int, c_samples: int):
-        self.n = n
-        self.c_samples = c_samples
-        self.worst = np.full(n, math.inf)
-        self.witness: list[tuple[float, float] | None] = [None] * n
-        self.strict = np.full(n, math.inf)
-        self.strict_witness: list[tuple[float, float] | None] = [None] * n
-        self.checked = 0
+        super().__init__(n, c_samples, (n, 2))
 
-    def block(self, xb, rb, X, C, cum_a, cum_b, den) -> None:
-        n, cs = self.n, self.c_samples
+    def block(self, cells, xb, rb, X, C, cum_a, cum_b, den) -> None:
+        n, cs = self.n, self.cs
         strict_c = C < STRICT_C_CUTOFF
         for r in range(int(rb[-1]) + 1):
             # x and so rmax are nondecreasing: the cells with rmax >= r are
             # a suffix of the block.
             g = int(np.searchsorted(rb, r))
             s = g * cs
-            lhs = cum_a[r + 1, s:] * cum_b[n - r, s:] / den[s:]
             rhs_x = xb[g:] ** (r + 1) * (1.0 - xb[g:]) ** (n - r)
-            margin = np.repeat(rhs_x, cs) - lhs
+            margin = np.repeat(rhs_x, cs) - cum_a[r + 1, s:] * cum_b[n - r, s:] / den[s:]
             self.checked += margin.size
-            j = int(np.argmin(margin))
-            if margin[j] < self.worst[r]:
-                self.worst[r] = margin[j]
-                self.witness[r] = (X[s + j], C[s + j])
+            _first_min(self.worst[r, :1], self.where[r, :1], margin[None], cells[s:])
             strict = strict_c[s:]
             fail = strict & (margin <= 0.0)
             # Where rhs underflows, both sides may round to 0; the log ratio
@@ -390,82 +421,52 @@ class _LemmaSweep:
                     fail[t] = _lemma_log_ratio(n, r, X[s + t], C[s + t]) >= 0.0
             if np.any(fail):
                 f = np.nonzero(fail)[0]
-                jf = int(f[np.argmin(margin[f])])
-                if margin[jf] < self.strict[r]:
-                    self.strict[r] = margin[jf]
-                    self.strict_witness[r] = (X[s + jf], C[s + jf])
+                _first_min(self.worst[r, 1:], self.where[r, 1:], margin[None, f], cells[s + f])
 
-    def result(self) -> dict[str, Any]:
-        n = self.n
-        worst = math.inf
-        witness: dict[str, Any] = {}
-        strict_witness: dict[str, Any] = {}
-        for r in range(n):
-            if self.worst[r] < worst:
-                worst = float(self.worst[r])
-                x, c = self.witness[r]
-                witness = {"n": n, "x": float(x), "c": float(c), "r": r}
-            if self.strict_witness[r] is not None:  # the last failing r is reported
-                x, c = self.strict_witness[r]
-                strict_witness = {"n": n, "x": float(x), "c": float(c), "r": r}
+    def result(self, X: np.ndarray, C: np.ndarray) -> dict[str, Any]:
+        r = int(np.argmin(self.worst[:, 0]))
+        worst = float(self.worst[r, 0])
+        last = np.flatnonzero(self.worst[:, 1] < math.inf)[-1:].tolist()  # last failing r
         return {
-            "n": n,
             "worst": worst,
-            "witness": witness,
-            "strict_ok": not strict_witness,
-            "strict_witness": strict_witness,
+            "witness": self.witness(X, C, (r, 0), r=r) if worst < math.inf else {},
+            "strict_witness": self.witness(X, C, (last[0], 1), r=last[0]) if last else {},
             "checked": self.checked,
         }
 
     @staticmethod
     def report(results: list[dict[str, Any]]) -> VerificationReport:
-        """Reduce the per-n results, in n order, to one report."""
-        worst = math.inf
-        witness: dict[str, Any] = {}
-        strict_ok = True
-        strict_witness: dict[str, Any] = {}
-        checked = 0
-        for res in results:
-            checked += res["checked"]
-            if res["worst"] < worst:
-                worst = res["worst"]
-                witness = res["witness"]
-            if not res["strict_ok"] and strict_ok:
-                strict_ok = False
-                strict_witness = res["strict_witness"]
-        passed = worst >= -LEMMA_TOL and strict_ok
+        """Reduce the per-n results, in n order, to one report: the first
+        smallest margin and the first n with a strict failure."""
+        best = min(results, key=lambda res: res["worst"])
+        strict_witness = next((w for w in (res["strict_witness"] for res in results) if w), {})
+        strict_ok = not strict_witness
         return VerificationReport(
             claim_id="rising-factorial-inequality",
-            passed=passed,
-            worst_margin=worst,
-            witness=witness,
-            samples_checked=checked,
+            passed=best["worst"] >= -LEMMA_TOL and strict_ok,
+            worst_margin=best["worst"],
+            witness=best["witness"],
+            samples_checked=sum(res["checked"] for res in results),
             tolerance=LEMMA_TOL,
             details={"strict_ok": strict_ok, "strict_witness": strict_witness},
         )
 
 
-class _KozniewskaSweep:
+class _KozniewskaSweep(_Sweep):
     """Per-n state of the truncated-moment and reflection checks
     ("kozniewska"): closed-form truncated first moments against brute-force
     pmf sums at every truncation level r = 0..n-1, plus the left-tail
     reflection identity against F_n^c(1-x), over the (x, c) sweep.
 
-    As in :class:`_LemmaSweep`, each r keeps the first column of its worst
-    difference, which reproduces a flat argmax over (r, column)."""
+    Slot r < n keeps the negated worst difference of level r, slot n that
+    of the reflection, so the first cell of the largest difference wins."""
 
     def __init__(self, n: int, c_samples: int):
-        self.n = n
+        super().__init__(n, c_samples, n + 1)
         self.binom_n1 = binomial_row(n - 1)
         self.k_n = np.arange(n + 1, dtype=float)[:, None] / n
-        self.worst = np.full(n, -math.inf)
-        self.wx = np.zeros(n)
-        self.wc = np.zeros(n)
-        self.refl = -math.inf
-        self.refl_witness = (0.0, 0.0)
-        self.checked = 0
 
-    def block(self, xb, rb, X, C, cum_a, cum_b, den) -> None:
+    def block(self, cells, xb, rb, X, C, cum_a, cum_b, den) -> None:
         n = self.n
         closed = np.multiply(self.binom_n1[:, None], cum_a[1 : n + 1])
         closed *= cum_b[n:0:-1]
@@ -477,12 +478,7 @@ class _KozniewskaSweep:
         partial *= probs
         _cumsum_rows(partial)  # partial[r] = sum_{k<=r}
         diff = np.abs(np.subtract(partial[:n], closed, out=closed), out=closed)
-        j = np.argmax(diff, axis=1)
-        top = diff[np.arange(n), j]
-        better = top > self.worst
-        self.worst[better] = top[better]
-        self.wx[better] = X[j[better]]
-        self.wc[better] = C[j[better]]
+        _first_min(self.worst[:n], self.where[:n], np.negative(diff, out=diff), cells)
         self.checked += int(diff.size)
 
         # Reflection: the tail over {k : x - k/n < -1/sqrt(n)} rewritten
@@ -500,48 +496,28 @@ class _KozniewskaSweep:
             _cumsum_rows(terms)  # terms[r] = sum_{k'<=r}
             tail[cols] = terms[rr, cols]
         rdiff = np.abs(tail - f_n_c_curve(n, 1.0 - X, C))
-        jr = int(np.argmax(rdiff))
-        if rdiff[jr] > self.refl:
-            self.refl = float(rdiff[jr])
-            self.refl_witness = (X[jr], C[jr])
+        _first_min(self.worst[n:], self.where[n:], -rdiff[None], cells)
         self.checked += int(X.size)
 
-    def result(self) -> dict[str, Any]:
-        n = self.n
-        rj = int(np.argmax(self.worst))
-        worst_diff = float(self.worst[rj])
-        witness = {
-            "check": "truncated-moment",
-            "n": n,
-            "x": float(self.wx[rj]),
-            "c": float(self.wc[rj]),
-            "r": rj,
-        }
-        if self.refl > worst_diff:
-            worst_diff = self.refl
-            x, c = self.refl_witness
-            witness = {"check": "reflection", "n": n, "x": float(x), "c": float(c)}
-        return {"n": n, "worst_diff": worst_diff, "witness": witness, "checked": self.checked}
+    def result(self, X: np.ndarray, C: np.ndarray) -> dict[str, Any]:
+        r = int(np.argmin(self.worst))  # a tie keeps the truncated moment over the reflection
+        witness = (self.witness(X, C, r, check="truncated-moment", r=r) if r < self.n
+                   else self.witness(X, C, r, check="reflection"))
+        return {"worst_diff": -float(self.worst[r]), "witness": witness, "checked": self.checked}
 
     @staticmethod
     def report(results: list[dict[str, Any]]) -> VerificationReport:
-        """Reduce the per-n results, in n order, to one report."""
-        worst_diff = 0.0
-        witness: dict[str, Any] = {}
-        checked = 0
-        for res in results:
-            checked += res["checked"]
-            if res["worst_diff"] > worst_diff or not witness:
-                worst_diff = res["worst_diff"]
-                witness = res["witness"]
+        """Reduce the per-n results, in n order, to one report: the first
+        largest difference."""
+        best = max(results, key=lambda res: res["worst_diff"])
         return VerificationReport(
             claim_id="kozniewska-identity",
-            passed=worst_diff <= IDENTITY_TOL,
-            worst_margin=-worst_diff,
-            witness=witness,
-            samples_checked=checked,
+            passed=best["worst_diff"] <= IDENTITY_TOL,
+            worst_margin=-best["worst_diff"],
+            witness=best["witness"],
+            samples_checked=sum(res["checked"] for res in results),
             tolerance=IDENTITY_TOL,
-            details={"worst_abs_diff": worst_diff},
+            details={"worst_abs_diff": best["worst_diff"]},
         )
 
 
@@ -551,24 +527,14 @@ SWEEPS = {"lemma": _LemmaSweep, "kozniewska": _KozniewskaSweep}
 
 
 def _verify_sweep_one(args) -> dict[str, dict[str, Any]]:
-    """One pass over the (x, c) sweep of one n, in column blocks of whole
-    grid points: grid point g carries c_samples columns with c running from
-    the boundary value -min{x,1-x}/(n-1) up to 0.  Every requested check
-    reads the same rising products."""
+    """The requested checks of one n in one engine pass: grid point x
+    carries c_samples values of c running from the boundary value
+    -min{x,1-x}/(n-1) up to 0."""
     n, grid, c_samples, checks = args
     xs = np.linspace(0.0, 1.0, grid.points)
-    fracs = np.linspace(1.0, 0.0, c_samples)
-    cmin = CProfile("rn").c_at(xs, n)
-    rmax = _rmax(n, xs)
-    sweeps = [SWEEPS[name](n, c_samples) for name in checks]
-    for g0, g1 in _blocks(xs.size, 8 * (n + 1) * c_samples):
-        xb = xs[g0:g1]
-        X = np.repeat(xb, c_samples)
-        C = (cmin[g0:g1, None] * fracs[None, :]).ravel()
-        cum_a, cum_b, den = rising_products(n, X, C)
-        for sweep in sweeps:
-            sweep.block(xb, rmax[g0:g1], X, C, cum_a, cum_b, den)
-    return {name: sweep.result() for name, sweep in zip(checks, sweeps)}
+    cgrid = CProfile("rn").c_at(xs, n)[:, None] * np.linspace(1.0, 0.0, c_samples)
+    results = _sweep_n(n, xs, cgrid, [SWEEPS[name](n, c_samples) for name in checks])
+    return dict(zip(checks, results))
 
 
 def verify_sweep(
@@ -586,9 +552,7 @@ def verify_sweep(
         raise ValueError(f"checks must be a nonempty subset of {', '.join(SWEEPS)}")
     ns = _parse_n_range(n_range)
     todo = tuple(name for name in SWEEPS if name in checks)
-    results = _map_over_n(
-        _verify_sweep_one, [(n, grid, c_samples, todo) for n in ns], workers
-    )
+    results = _map_over_n(_verify_sweep_one, [(n, grid, c_samples, todo) for n in ns], workers)
     return [SWEEPS[name].report([res[name] for res in results]) for name in todo]
 
 
@@ -610,10 +574,9 @@ def n6_case_check(points_per_interval: int = 50001) -> VerificationReport:
     """
     n = 6
     s = 1.0 / math.sqrt(6.0)
-    off = 1e-9
 
     def curve(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.linspace(lo + off, hi, points_per_interval)
+        xs = np.linspace(lo + BREAKPOINT_OFFSET, hi, points_per_interval)
         return xs, f_n_c_curve(n, xs, CProfile("rn").c_at(xs, n))
 
     _, f1 = curve(s, 0.5)
@@ -653,56 +616,53 @@ def n6_case_check(points_per_interval: int = 50001) -> VerificationReport:
     )
 
 
-def _conjecture_one(args) -> dict[str, Any]:
-    """Worst c-step of the rising-factorial ratio for one n, in column
-    blocks of whole grid points.  A block is laid out c-major: row j of its
-    (c_grid_size, points) view holds the j-th c value of every point."""
-    n, grid, c_grid_size, c_max = args
-    xs = np.linspace(0.0, 1.0, grid.points)
-    rmax_x = _rmax(n, xs)
-    active = (rmax_x >= 0) & (np.minimum(xs, 1.0 - xs) > 0.0)
-    xa = xs[active]
-    ra = rmax_x[active]
-    fracs = np.linspace(0.0, 1.0, c_grid_size)
-    cmin = CProfile("rn").c_at(xa, n)
-    steps = np.arange(c_grid_size - 1)
-    # Per (r, c-step): the worst difference and its column in xa.  A later
-    # block replaces it only when strictly worse, so ties keep the first
-    # (r, c-step, column), as one unblocked argmin over them would.
-    worst = np.full((n, steps.size), math.inf)
-    where = np.zeros((n, steps.size), dtype=int)
-    checked = 0
-    for g0, g1 in _blocks(xa.size, 8 * (n + 1) * c_grid_size):
-        cb = cmin[g0:g1]
-        # per-x c grid from the admissibility boundary up to c_max
-        C = (cb[None, :] + fracs[:, None] * (c_max - cb[None, :])).ravel()
-        X = np.tile(xa[g0:g1], c_grid_size)
-        cum_a, cum_b, den = rising_products(n, X, C)
-        rb = ra[g0:g1]
+class _ConjectureSweep(_Sweep):
+    """Per-n state of the monotonicity-in-c exploration ("conjecture"): the
+    steps of the rising-factorial ratio x^(r+1,c)(1-x)^(n-r,c)/1^(n,c)
+    between neighbouring c of each grid point, for every integer
+    0 <= r <= n x - sqrt(n).
+
+    Slot (r, k) keeps the most negative step from c grid entry k to k + 1,
+    at the cell of its lower c."""
+
+    def __init__(self, n: int, c_grid_size: int):
+        super().__init__(n, c_grid_size, (n, c_grid_size - 1))
+
+    def block(self, cells, xb, rb, X, C, cum_a, cum_b, den) -> None:
+        n, cs = self.n, self.cs
         for r in range(int(rb[-1]) + 1):
-            g = int(np.searchsorted(rb, r))  # points with rmax >= r: a suffix
-            ratio = (cum_a[r + 1] * cum_b[n - r] / den).reshape(c_grid_size, -1)
-            diffs = np.diff(ratio[:, g:], axis=0)
-            checked += int(diffs.size)
-            j = np.argmin(diffs, axis=1)
-            low = diffs[steps, j]
-            better = low < worst[r]
-            worst[r, better] = low[better]
-            where[r, better] = g0 + g + j[better]
-    result: dict[str, Any] = {"worst": math.inf, "witness": {}, "checked": checked}
-    for r in range(n):
-        ji = int(np.argmin(worst[r]))
-        if worst[r, ji] < result["worst"]:
-            col = where[r, ji]
-            c_lo, c_hi = cmin[col] + fracs[ji : ji + 2] * (c_max - cmin[col])
-            result["worst"] = float(worst[r, ji])
-            result["witness"] = {
-                "n": n,
-                "x": float(xa[col]),
-                "r": r,
-                "c_lo": float(c_lo),
-                "c_hi": float(c_hi),
-            }
+            s = int(np.searchsorted(rb, r)) * cs  # points with rmax >= r: a suffix
+            ratio = (cum_a[r + 1, s:] * cum_b[n - r, s:] / den[s:]).reshape(-1, cs).T
+            # row k: the steps from c entry k to k + 1 of every point, in cell order
+            steps = np.subtract(ratio[1:], ratio[:-1], order="C")
+            self.checked += int(steps.size)
+            _first_min(self.worst[r], self.where[r], steps, cells[s:].reshape(-1, cs)[:, :-1].T)
+
+    def result(self, X: np.ndarray, C: np.ndarray) -> dict[str, Any]:
+        r, k = np.unravel_index(np.argmin(self.worst), self.worst.shape)
+        worst = float(self.worst[r, k])
+        witness = {}
+        if worst < math.inf:
+            cell = self.where[r, k]
+            witness = {"n": self.n, "x": float(X[cell]), "r": int(r),
+                       "c_lo": float(C[cell]), "c_hi": float(C[cell + 1])}
+        return {"worst": worst, "witness": witness, "checked": self.checked}
+
+
+# The upper end of the conjecture's c range.
+CONJECTURE_C_MAX = 0.2
+
+
+def _conjecture_one(args) -> dict[str, Any]:
+    """The conjecture sweep of one n over the grid points 0 < x < 1 with
+    some r <= n x - sqrt(n), each carrying c_grid_size values of c from the
+    admissibility boundary -min{x,1-x}/(n-1) up to CONJECTURE_C_MAX."""
+    n, grid, c_grid_size = args
+    xs = np.linspace(0.0, 1.0, grid.points)
+    xa = xs[(_rmax(n, xs) >= 0) & (np.minimum(xs, 1.0 - xs) > 0.0)]
+    cmin = CProfile("rn").c_at(xa, n)[:, None]
+    cgrid = cmin + np.linspace(0.0, 1.0, c_grid_size) * (CONJECTURE_C_MAX - cmin)
+    (result,) = _sweep_n(n, xa, cgrid, [_ConjectureSweep(n, c_grid_size)])
     return result
 
 
@@ -710,39 +670,33 @@ def conjecture_scan(
     n_range: Iterable[int],
     grid: GridSpec = GridSpec(points=2001),
     c_grid_size: int = 21,
-    c_max: float = 0.2,
     workers: int = 1,
 ) -> VerificationReport:
     """Explore whether the rising-factorial ratio is nondecreasing in c on
-    [-min{x,1-x}/(n-1), c_max] for every (n, x, r) with r <= n x - sqrt(n).
+    [-min{x,1-x}/(n-1), CONJECTURE_C_MAX] for every (n, x, r) with
+    r <= n x - sqrt(n).
 
     A monotonicity violation is surfaced as a witness (``finding``), not a
-    failure; the conjecture is open.
+    failure; the conjecture is open.  A sweep that checks no cell is
+    rejected.
     """
-    if c_max < 0:
-        raise ValueError(f"c_max must be >= 0, got {c_max}")
     if c_grid_size < 2:
         raise ValueError(f"c grid needs >= 2 points, got {c_grid_size}")
     ns = _parse_n_range(n_range)
-    results = _map_over_n(
-        _conjecture_one, [(n, grid, c_grid_size, c_max) for n in ns], workers
-    )
-    worst = math.inf
-    witness: dict[str, Any] = {}
-    checked = 0
-    for res in results:
-        checked += res["checked"]
-        if res["worst"] < worst:
-            worst = res["worst"]
-            witness = res["witness"]
-    monotone = worst >= -LEMMA_TOL
+    results = _map_over_n(_conjecture_one, [(n, grid, c_grid_size) for n in ns], workers)
+    checked = sum(res["checked"] for res in results)
+    if not checked:
+        raise ValueError(f"the conjecture sweep checks no cell for n in {ns[0]}..{ns[-1]}: no "
+                         "grid point 0 < x < 1 has r <= n x - sqrt(n); raise --points")
+    best = min(results, key=lambda res: res["worst"])
+    monotone = best["worst"] >= -LEMMA_TOL
     return VerificationReport(
         claim_id="monotone-in-c-conjecture",
         passed=monotone,
-        worst_margin=worst,
-        witness=witness,
+        worst_margin=best["worst"],
+        witness=best["witness"],
         samples_checked=checked,
         tolerance=LEMMA_TOL,
         finding=not monotone,
-        details={"c_max": c_max},
+        details={"c_max": CONJECTURE_C_MAX},
     )

@@ -16,34 +16,31 @@ from typing import Any, Iterable, Sequence
 __all__ = ["GridSpec", "ScanReport", "VerificationReport", "dump_json", "write_curves_csv"]
 
 SCHEMA_VERSION = 1
+# How far inside each half-open piece a scan grid samples the one-sided
+# limit at a jump of the scanned function.
+BREAKPOINT_OFFSET = 1e-9
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Deterministic 1-D evaluation grid on [0,1].
 
-    points is the number of uniform base grid points; when
-    refine_breakpoints is set, scanners add samples one breakpoint_offset
-    inside each half-open piece of the scanned function.
+    points is the number of uniform base grid points; scanners add samples
+    BREAKPOINT_OFFSET inside each half-open piece of the scanned function,
+    which reports record as ``refine_breakpoints``.
     """
 
     points: int = 10001
-    refine_breakpoints: bool = True
-    breakpoint_offset: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.points < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.points}")
-        if not 0.0 < self.breakpoint_offset <= 1e-6:
-            raise ValueError(
-                f"breakpoint offset must lie in (0, 1e-6], got {self.breakpoint_offset}"
-            )
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "points": self.points,
-            "refine_breakpoints": self.refine_breakpoints,
-            "breakpoint_offset": self.breakpoint_offset,
+            "refine_breakpoints": True,
+            "breakpoint_offset": BREAKPOINT_OFFSET,
         }
 
 
@@ -106,9 +103,10 @@ class VerificationReport:
 
 
 def dump_json(obj: Any, path: str | None = None) -> str:
-    """Serialize a report (or plain dict) deterministically; optionally write it."""
+    """Serialize a report (or plain dict) deterministically; optionally write it.
+    A non-finite float raises ValueError: JSON has no Infinity or NaN."""
     d = obj.to_json_dict() if hasattr(obj, "to_json_dict") else obj
-    text = json.dumps(d, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(d, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is not None:
         with open(path, "w", newline="") as fh:
             fh.write(text)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -395,6 +396,42 @@ class TestSweepBlocks:
                 verify_sweep([2], checks)
 
 
+class TestFirstMin:
+    """The one witness rule of the verifier sweeps."""
+
+    def test_ties_keep_the_first_cell(self):
+        worst, where = np.full(2, math.inf), np.zeros(2, dtype=int)
+        analysis._first_min(worst, where, np.array([[3.0, 1.0, 1.0], [2.0, 2.0, 5.0]]),
+                            np.array([10, 11, 12]))
+        assert worst.tolist() == [1.0, 2.0] and where.tolist() == [11, 10]
+        # a later block that only ties keeps the kept cells
+        analysis._first_min(worst, where, np.array([[1.0], [2.0]]), np.array([13]))
+        assert worst.tolist() == [1.0, 2.0] and where.tolist() == [11, 10]
+
+    def test_strictly_smaller_value_replaces(self):
+        worst, where = np.array([1.0, 2.0]), np.array([11, 10])
+        analysis._first_min(worst, where, np.array([[0.5, 7.0], [2.0, 1.5]]),
+                            np.array([[20, 21], [22, 23]]))
+        assert worst.tolist() == [0.5, 1.5] and where.tolist() == [20, 23]
+
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+           st.lists(st.integers(1, 7), min_size=1, max_size=8))
+    def test_blocks_equal_one_argmin(self, ints, cuts):
+        # few distinct values, so ties are common
+        values = np.array(ints, dtype=float).reshape(1, -1)
+        cells = np.arange(values.shape[1])
+        worst, where = np.full(1, math.inf), np.zeros(1, dtype=int)
+        start = 0
+        for cut in cuts * values.shape[1]:
+            if start >= values.shape[1]:
+                break
+            stop = start + cut
+            analysis._first_min(worst, where, values[:, start:stop], cells[start:stop])
+            start = stop
+        j = int(np.argmin(values[0]))
+        assert (worst[0], where[0]) == (values[0, j], j)
+
+
 class TestKozniewskaVerifier:
     def test_small_sweep_passes(self):
         (rep,) = verify_sweep(range(2, 13), ["kozniewska"], GridSpec(points=501), c_samples=9)
@@ -453,6 +490,24 @@ class TestConjectureScan:
         vals = [factorial_ratio(0.8, 1, 4, float(c)) for c in cs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_report_is_pinned(self):
+        rep = conjecture_scan(range(2, 21), GridSpec(points=2001), 21)
+        assert rep.worst_margin == 1.1619716364122925e-25
+        assert rep.witness == {
+            "n": 20,
+            "r": 0,
+            "x": 0.9995,
+            "c_lo": -2.6315789473681312e-05,
+            "c_hi": 0.009975000000000003,
+        }
+        assert rep.samples_checked == 2388840
+        assert rep.details == {"c_max": analysis.CONJECTURE_C_MAX} == {"c_max": 0.2}
+
+    def test_rejects_a_sweep_that_checks_nothing(self):
+        for ns, points in (([2], 3), (range(2, 4), 2)):
+            with pytest.raises(ValueError, match="--points"):
+                conjecture_scan(ns, GridSpec(points=points), 21)
+
     def test_skips_degenerate_endpoints(self):
         rep = conjecture_scan([2], GridSpec(points=1001), c_grid_size=5)
         # witnesses, if any, never sit at x in {0, 1}
@@ -462,7 +517,7 @@ class TestConjectureScan:
 
 class TestReports:
     def test_json_schema_and_determinism(self):
-        rep = scan_sup([4], "zero", GridSpec(points=1001, refine_breakpoints=True))
+        rep = scan_sup([4], "zero", GridSpec(points=1001))
         text1 = dump_json(rep)
         text2 = dump_json(rep)
         assert text1 == text2
@@ -488,5 +543,9 @@ class TestReports:
     def test_gridspec_validation(self):
         with pytest.raises(ValueError):
             GridSpec(points=1)
-        with pytest.raises(ValueError):
-            GridSpec(points=100, breakpoint_offset=1e-3)
+
+    def test_dump_json_rejects_non_finite_floats(self):
+        rep = conjecture_scan([2], GridSpec(points=1001), 5)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                dump_json(dataclasses.replace(rep, worst_margin=bad))

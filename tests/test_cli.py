@@ -270,6 +270,15 @@ class TestFailurePaths:
         assert err["kind"] == "error"
         assert complaint in err["message"]
 
+    @pytest.mark.parametrize("args", [["--n", "2", "--points", "3"],
+                                      ["--n", "2..3", "--points", "2"]])
+    def test_conjecture_sweep_that_checks_nothing(self, args):
+        res = run_main(["verify", "--conjecture", *args])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        err = json.loads(res.stderr)
+        assert err["kind"] == "error" and "--points" in err["message"]
+
     def test_zero_c_samples_is_usage_error(self):
         res = run_main(["verify", "--lemma", "--n", "2..3", "--c-samples", "0"])
         assert res.returncode == 2
