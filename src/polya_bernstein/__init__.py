@@ -25,8 +25,6 @@ from .operators import (
     polya_operator_eval,
     popoviciu_ratio,
     popoviciu_scan,
-    r_n_curve,
-    r_n_eval,
 )
 from .analysis import (
     breakpoints,

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -263,7 +264,9 @@ def _parse_n_range(n_range: Iterable[int] | tuple[int, int]) -> list[int]:
 
 
 def _map_over_n(fn, args_list: Sequence, workers: int = 1) -> list:
-    """Deterministic per-n map; worker count never changes the reduction order."""
+    """Deterministic per-n map; worker count never changes the reduction order.
+    The pool is capped at one process per CPU and per item."""
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(args_list) > 1:
         with multiprocessing.Pool(min(workers, len(args_list))) as pool:
             return pool.map(fn, args_list)
@@ -286,8 +289,7 @@ def scan_sup(
     urn operator.  The report records it as ``meta["bound"]``.
 
     The grid is refined one-sided at the quantity's jumps; the global sup
-    is the first largest per-n sup, so ties break lexicographically on
-    (n, x).
+    follows :meth:`ScanReport.from_per_n`.
     """
     ns = _parse_n_range(n_range)
     if ns[-1] > 200:
@@ -300,15 +302,8 @@ def scan_sup(
     elif bound not in BOUNDS:
         raise ValueError(f"unknown bound {bound!r}; use one of {', '.join(BOUNDS)}")
     per_n = _map_over_n(_scan_sup_one, [(n, c_mode, grid, bound) for n in ns], workers)
-    best_n, best_sup, best_x = max(per_n, key=lambda t: t[1])
-    return ScanReport(
-        sup=best_sup,
-        argmax_x=best_x,
-        argmax_n=best_n,
-        grid=grid,
-        per_n=tuple(per_n),
-        meta={"c_mode": c_mode, "n_range": [ns[0], ns[-1]], "bound": bound},
-    )
+    meta = {"c_mode": c_mode, "n_range": [ns[0], ns[-1]], "bound": bound}
+    return ScanReport.from_per_n(per_n, grid, meta)
 
 
 def _rmax(n: int, xs: np.ndarray) -> np.ndarray:

@@ -215,7 +215,7 @@ def cmd_compare(fn, fn_csv, n, points, out):
     xs = np.linspace(0.0, 1.0, points)
     fx = np.asarray(f(xs))
     err_b = operators.bernstein_curve(f, n, xs) - fx
-    err_r = operators.r_n_curve(f, n, xs) - fx
+    err_r = operators.operator_curve(f, n, xs, operators.CProfile("rn")) - fx
     write_curves_csv(
         out,
         zip(xs.tolist(), err_b.tolist(), err_r.tolist()),

@@ -1,9 +1,11 @@
 """Approximation operators on C[0,1].
 
-The classical Bernstein operator, the urn-based operator family
-P_n^{x,1-x,c} with a pluggable replacement profile c(x), and the boundary
-profile operator R_n with c(x) = -min{x,1-x}/(n-1).  Also the grid-based
-modulus of continuity and sup-norm error/ratio profiling.
+The classical Bernstein operator B_n and the urn-based operator family
+P_n^{x,1-x,c} with a pluggable replacement profile c(x); the paper's
+operator R_n is the family under CProfile("rn"), c(x) = -min{x,1-x}/(n-1).
+Each operator has one evaluation path, its curve over a grid; a point
+query is the one-point view of that curve.  Also the grid-based modulus
+of continuity and sup-norm error/ratio profiling.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .numeric_core import binomial_row
-from .polya import PolyaParams, pmf, pmf_matrix
+from .polya import pmf_matrix
 from .reports import GridSpec, ScanReport
 
 __all__ = [
@@ -30,12 +32,13 @@ __all__ = [
     "bernstein_curve",
     "polya_operator_eval",
     "operator_curve",
-    "r_n_eval",
-    "r_n_curve",
     "modulus_of_continuity",
     "popoviciu_ratio",
     "popoviciu_scan",
 ]
+
+# Grid resolution of the modulus of continuity in Popoviciu ratios.
+OMEGA_RESOLUTION = 10000
 
 
 @dataclass(frozen=True)
@@ -164,21 +167,11 @@ def bernstein_curve(f: FunctionSpec, n: int, xs: np.ndarray) -> np.ndarray:
 
 
 def polya_operator_eval(f: FunctionSpec, n: int, x: float, profile: CProfile) -> float:
-    """Urn operator P_n^{x,1-x,c(x)}(f; x) = E f(X_n / n).
-
-    At x in {0,1} the distribution is a point mass and the profile value is
-    irrelevant, so f(x) is returned directly.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    """Urn operator P_n^{x,1-x,c(x)}(f; x) = E f(X_n / n): the one-point
+    view of :func:`operator_curve`."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0,1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return float(f(x))
-    c = float(profile.c_at(x, n))
-    probs = pmf(PolyaParams(n, x, 1.0 - x, c))
-    k = np.arange(n + 1, dtype=float)
-    return float(np.asarray(f(k / n)) @ probs)
+    return float(operator_curve(f, n, np.array([x]), profile)[0])
 
 
 def operator_curve(f: FunctionSpec, n: int, xs: np.ndarray, profile: CProfile) -> np.ndarray:
@@ -195,19 +188,6 @@ def operator_curve(f: FunctionSpec, n: int, xs: np.ndarray, profile: CProfile) -
     if np.any(ends):
         vals[ends] = np.asarray(f(xs[ends]))
     return vals
-
-
-def r_n_eval(f: FunctionSpec, n: int, x: float) -> float:
-    """The boundary-profile operator R_n(f; x)."""
-    if n <= 1:
-        raise ValueError(f"R_n requires n > 1, got {n}")
-    return polya_operator_eval(f, n, x, CProfile("rn"))
-
-
-def r_n_curve(f: FunctionSpec, n: int, xs: np.ndarray) -> np.ndarray:
-    if n <= 1:
-        raise ValueError(f"R_n requires n > 1, got {n}")
-    return operator_curve(f, n, xs, CProfile("rn"))
 
 
 def _modulus_window(delta: float, resolution: int) -> int:
@@ -249,7 +229,7 @@ def _window_spread(vals: np.ndarray, window: int) -> float:
     return float((ext[0] - ext[1]).max())
 
 
-def modulus_of_continuity(f: FunctionSpec, delta: float, resolution: int = 10000) -> float:
+def modulus_of_continuity(f: FunctionSpec, delta: float, resolution: int = OMEGA_RESOLUTION) -> float:
     """Grid modulus of continuity: max |f(u)-f(v)| over grid pairs with
     |u-v| <= delta, on a uniform grid of resolution+1 points.
 
@@ -261,63 +241,51 @@ def modulus_of_continuity(f: FunctionSpec, delta: float, resolution: int = 10000
     return _window_spread(_modulus_samples(f, resolution), window)
 
 
-def _popoviciu_rows(f, ns, grid, operator, omega_resolution):
+def _popoviciu_rows(f, ns, grid, operator):
     """(n, sup, argmax_x, omega) of the ratio |Op(f;x) - f(x)| / omega(n^{-1/2})
     for each n, from f sampled once on the modulus grid and once on the scan
     grid."""
     if operator not in ("bernstein", "rn"):
         raise ValueError(f"unknown operator {operator!r}")
-    vals = _modulus_samples(f, omega_resolution)
+    vals = _modulus_samples(f, OMEGA_RESOLUTION)
     xs = np.linspace(0.0, 1.0, grid.points)
     fx = np.asarray(f(xs))
     for n in ns:
         if n <= 1:
             raise ValueError(f"ratio scan requires n > 1, got {n}")
-        omega = _window_spread(vals, _modulus_window(n ** -0.5, omega_resolution))
+        omega = _window_spread(vals, _modulus_window(n ** -0.5, OMEGA_RESOLUTION))
         if omega <= 0.0:
             raise ValueError(f"function {f.name!r} is constant on the grid; ratio undefined")
-        curve = bernstein_curve(f, n, xs) if operator == "bernstein" else r_n_curve(f, n, xs)
+        if operator == "bernstein":
+            curve = bernstein_curve(f, n, xs)
+        else:
+            curve = operator_curve(f, n, xs, CProfile("rn"))
         ratios = np.abs(curve - fx) / omega
         idx = int(np.argmax(ratios))  # first occurrence: ties break toward smaller x
         yield n, float(ratios[idx]), float(xs[idx]), omega
 
 
 def popoviciu_scan(
-    f: FunctionSpec,
-    ns: Sequence[int],
-    grid: GridSpec,
-    operator: str = "rn",
-    omega_resolution: int = 10000,
+    f: FunctionSpec, ns: Sequence[int], grid: GridSpec, operator: str = "rn"
 ) -> ScanReport:
-    """Per-n and global sup over the grid of |Op(f;x) - f(x)| / omega(n^{-1/2}).
+    """Per-n and global sup over the grid of |Op(f;x) - f(x)| / omega(n^{-1/2}),
+    with omega on a grid of OMEGA_RESOLUTION + 1 points.
 
-    operator is "bernstein" or "rn".  The global sup is the first largest
-    per-n sup.  Rejects (near-)constant f, whose ratio is 0/0.
+    operator is "bernstein" or "rn".  The global sup follows
+    :meth:`ScanReport.from_per_n`.  Rejects (near-)constant f, whose ratio
+    is 0/0.
     """
-    per_n = [row[:3] for row in _popoviciu_rows(f, ns, grid, operator, omega_resolution)]
-    if not per_n:
-        raise ValueError("empty n range")
-    best = max(per_n, key=lambda t: t[1])
-    return ScanReport(
-        sup=best[1],
-        argmax_x=best[2],
-        argmax_n=best[0],
-        grid=grid,
-        per_n=tuple(per_n),
-        meta={"operator": operator, "function": f.name, "kind": "popoviciu-ratio"},
+    return ScanReport.from_per_n(
+        [row[:3] for row in _popoviciu_rows(f, ns, grid, operator)],
+        grid,
+        {"operator": operator, "function": f.name, "kind": "popoviciu-ratio"},
     )
 
 
-def popoviciu_ratio(
-    f: FunctionSpec,
-    n: int,
-    grid: GridSpec,
-    operator: str = "rn",
-    omega_resolution: int = 10000,
-) -> ScanReport:
+def popoviciu_ratio(f: FunctionSpec, n: int, grid: GridSpec, operator: str = "rn") -> ScanReport:
     """The one-n view of :func:`popoviciu_scan`, with omega(n^{-1/2}) in
     ``meta["omega"]``."""
-    ((n, sup, x, omega),) = _popoviciu_rows(f, [n], grid, operator, omega_resolution)
+    ((n, sup, x, omega),) = _popoviciu_rows(f, [n], grid, operator)
     return ScanReport(
         sup=sup,
         argmax_x=x,

@@ -4,6 +4,10 @@ with the rising factorial x^(k,c) = x (x+c) ... (x+(k-1)c) both in log
 space (:func:`log_rising`) and as cumulative products
 (:func:`rising_products`).
 
+The pmf has one route: :func:`pmf_matrix` builds every column from the
+cumulative products and checks it (finite, no entry below rounding, sum
+1); :func:`pmf` is its one-column view.
+
 Parameters (n, a, b, c) describe n draws from an urn with initial white
 weight a, black weight b, and replacement increment c; c = 0 is binomial,
 c < 0 removes weight after each draw.
@@ -66,12 +70,12 @@ class PolyaParams:
     c: float
 
 
-def validate(params: PolyaParams, slack: float = BOUNDARY_SLACK) -> None:
+def validate(params: PolyaParams) -> None:
     """Accept iff a,b >= 0, a+b > 0 and both a+(n-1)c and b+(n-1)c are >= 0.
 
-    Equality is accepted within -slack; the boundary is where the variance-
-    minimizing replacement profile lives.  Rejections name the violated
-    inequality and its numeric slack.
+    Equality is accepted within -BOUNDARY_SLACK; the boundary is where the
+    variance-minimizing replacement profile lives.  Rejections name the
+    violated inequality and its numeric slack.
     """
     n, a, b, c = params.n, params.a, params.b, params.c
     if n < 1:
@@ -81,14 +85,14 @@ def validate(params: PolyaParams, slack: float = BOUNDARY_SLACK) -> None:
     if a + b <= 0:
         raise AdmissibilityError(f"a + b must be positive, got {a + b}")
     lhs_a = a + (n - 1) * c
-    if lhs_a < -slack:
+    if lhs_a < -BOUNDARY_SLACK:
         raise AdmissibilityError(
-            f"a + (n-1)c = {lhs_a} < 0 (slack {-slack}) for a={a}, n={n}, c={c}"
+            f"a + (n-1)c = {lhs_a} < 0 (slack {-BOUNDARY_SLACK}) for a={a}, n={n}, c={c}"
         )
     lhs_b = b + (n - 1) * c
-    if lhs_b < -slack:
+    if lhs_b < -BOUNDARY_SLACK:
         raise AdmissibilityError(
-            f"b + (n-1)c = {lhs_b} < 0 (slack {-slack}) for b={b}, n={n}, c={c}"
+            f"b + (n-1)c = {lhs_b} < 0 (slack {-BOUNDARY_SLACK}) for b={b}, n={n}, c={c}"
         )
 
 
@@ -107,19 +111,15 @@ def pmf(params: PolyaParams) -> np.ndarray:
     Entry k is C(n,k) * a^(k,c) * b^(n-k,c) / (a+b)^(n,c).  Parameters are
     first normalized to a+b = 1 (the pmf is homogeneous of degree 0); the
     result is then the one column of :func:`pmf_matrix` at x = a, c, so it
-    is built from the same cumulative products as every grid sweep.  The
-    sum-to-1 identity is asserted, not forced.
+    is built from the same cumulative products as every grid sweep and
+    passes the same checks.
     """
     validate(params)
     total = params.a + params.b
-    probs = pmf_matrix(params.n, params.a / total, params.c / total)[:, 0]
-    drift = abs(probs.sum() - 1.0)
-    if drift > _SUM_TOL:
-        raise ArithmeticError(f"pmf sum drifts from 1 by {drift} for {params}")
-    return probs
+    return pmf_matrix(params.n, params.a / total, params.c / total)[:, 0]
 
 
-def rising_products(n: int, x: np.ndarray, c: np.ndarray):
+def rising_products(n: int, x: np.ndarray, c: np.ndarray, scaled: bool = False):
     """Rising factorials of the family (n, x, 1-x, c) as cumulative products.
 
     x and c are 1-D arrays of equal length M.  Returns (cum_a, cum_b, den)
@@ -127,15 +127,12 @@ def rising_products(n: int, x: np.ndarray, c: np.ndarray):
     (n+1, M), and den = 1^(n,c) shaped (M,).  Each product is accumulated
     in place, factor by factor; this is the reference route that the
     log-space :func:`log_rising` is checked against.
+
+    scaled=True divides every factor of a column with c > 0 by one power of
+    two near the geometric mean of its 1 + ic.  A pmf entry, n factors over
+    n, keeps every bit, and the products stay in the float range at large
+    n c (1^(200,0.5) is about 1e317).
     """
-    return _products(n, x, c, scaled=False)
-
-
-def _products(n: int, x: np.ndarray, c: np.ndarray, scaled: bool):
-    """:func:`rising_products`; scaled=True divides every factor of a column
-    with c > 0 by one power of two near the geometric mean of its 1 + ic.
-    A pmf entry, n factors over n, keeps every bit, and the products stay
-    in the float range at large n c (1^(200,0.5) is about 1e317)."""
     validate_sweep(n, x, c)
     ic = np.arange(n, dtype=float)[:, None] * c[None, :]
     cum_a = np.empty((n + 1, x.size))
@@ -179,19 +176,23 @@ def pmf_matrix(n: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     x and c are broadcast together; every column is the pmf of
     PolyaParams(n, x_j, 1-x_j, c_j), clipped to [0, 1] after a check that
-    every entry is finite and none is below -1e-15.  :func:`pmf` is its
-    one-column view.
+    every entry is finite and none is below -1e-15.  Every column's sum is
+    then checked against 1, not forced.  :func:`pmf` is its one-column view.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     c = np.broadcast_to(np.asarray(c, dtype=float), x.shape)
     if np.any(x < -BOUNDARY_SLACK) or np.any(x > 1 + BOUNDARY_SLACK):
         raise AdmissibilityError("x must lie in [0,1]")
-    probs = _pmf_from_products(*_products(n, x, c, scaled=True))
+    probs = _pmf_from_products(*rising_products(n, x, c, scaled=True))
     if not np.isfinite(probs).all():
         raise ArithmeticError(f"pmf entry overflows for n={n}")
     if probs.min() < -_NEG_TOL:
         raise ArithmeticError(f"pmf entry {probs.min()} below rounding tolerance")
-    return np.clip(probs, 0.0, 1.0, out=probs)
+    np.clip(probs, 0.0, 1.0, out=probs)
+    drift = np.abs(probs.sum(axis=0) - 1.0).max()
+    if drift > _SUM_TOL:
+        raise ArithmeticError(f"pmf sum drifts from 1 by {drift} for n={n}")
+    return probs
 
 
 def _stirling_tail(z: np.ndarray) -> np.ndarray:

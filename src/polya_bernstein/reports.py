@@ -55,6 +55,18 @@ class ScanReport:
     per_n: tuple[tuple[int, float, float], ...] | None = None  # (n, sup_n, argmax_x_n)
     meta: dict[str, Any] = field(default_factory=dict)
 
+    @classmethod
+    def from_per_n(
+        cls, per_n: Sequence[tuple[int, float, float]], grid: GridSpec, meta: dict[str, Any]
+    ) -> ScanReport:
+        """The report of a scan over n from its (n, sup_n, argmax_x_n) rows in
+        n order.  The global sup is the first largest per-n sup, so ties break
+        lexicographically on (n, x) when each row keeps its first maximiser."""
+        if not per_n:
+            raise ValueError("empty n range")
+        n, sup, x = max(per_n, key=lambda t: t[1])
+        return cls(sup=sup, argmax_x=x, argmax_n=n, grid=grid, per_n=tuple(per_n), meta=meta)
+
     def to_json_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {
             "schema": SCHEMA_VERSION,
@@ -102,15 +114,11 @@ class VerificationReport:
         return d
 
 
-def dump_json(obj: Any, path: str | None = None) -> str:
-    """Serialize a report (or plain dict) deterministically; optionally write it.
-    A non-finite float raises ValueError: JSON has no Infinity or NaN."""
+def dump_json(obj: Any) -> str:
+    """Serialize a report (or plain dict) deterministically.  A non-finite
+    float raises ValueError: JSON has no Infinity or NaN."""
     d = obj.to_json_dict() if hasattr(obj, "to_json_dict") else obj
-    text = json.dumps(d, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
+    return json.dumps(d, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_curves_csv(path: str, rows: Iterable[Sequence[Any]], header: Sequence[str] = ("n", "x", "value")) -> None:

@@ -109,7 +109,7 @@ def test_criterion_8_theorem_level_bound():
     worst, where = 0.0, None
     for name, f in BUILTIN_FUNCTIONS.items():
         for n in range(2, 31):
-            rep = operators.popoviciu_ratio(f, n, grid, "rn", omega_resolution=10000)
+            rep = operators.popoviciu_ratio(f, n, grid, "rn")
             if rep.sup > worst:
                 worst, where = rep.sup, (name, n)
     ok = worst <= 1.08970 + 1e-6

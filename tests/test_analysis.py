@@ -31,7 +31,7 @@ from polya_bernstein.polya import (
     pmf,
     rising_products,
 )
-from polya_bernstein.reports import GridSpec, dump_json, write_curves_csv
+from polya_bernstein.reports import GridSpec, ScanReport, dump_json, write_curves_csv
 
 
 def brute_tail_sum(n, x, c):
@@ -239,6 +239,28 @@ class TestScanSup:
         a = scan_sup(range(2, 9), "zero", grid, workers=1)
         b = scan_sup(range(2, 9), "zero", grid, workers=3)
         assert a == b
+
+    @pytest.mark.parametrize("cpus, processes", [(None, None), (1, None), (2, 2), (8, 8)])
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus, processes):
+        started = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(a) for a in items]
+
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(analysis.multiprocessing, "Pool", SerialPool)
+        assert analysis._map_over_n(abs, list(range(-20, 0)), workers=64) == list(range(20, 0, -1))
+        assert started == ([] if processes is None else [processes])
 
     @pytest.mark.parametrize("c_mode", ["zero", "rn"])
     @pytest.mark.parametrize("points", [1000, 1001])
@@ -543,6 +565,15 @@ class TestReports:
     def test_gridspec_validation(self):
         with pytest.raises(ValueError):
             GridSpec(points=1)
+
+    def test_from_per_n_keeps_the_first_largest_row(self):
+        grid = GridSpec(points=1001)
+        rows = [(2, 0.5, 0.1), (3, 0.75, 0.2), (4, 0.75, 0.3), (5, 0.25, 0.4)]
+        rep = ScanReport.from_per_n(rows, grid, {"kind": "test"})
+        assert (rep.argmax_n, rep.sup, rep.argmax_x) == (3, 0.75, 0.2)
+        assert rep.per_n == tuple(rows) and rep.grid == grid and rep.meta == {"kind": "test"}
+        with pytest.raises(ValueError, match="empty n range"):
+            ScanReport.from_per_n([], grid, {})
 
     def test_dump_json_rejects_non_finite_floats(self):
         rep = conjecture_scan([2], GridSpec(points=1001), 5)

@@ -279,6 +279,17 @@ class TestFailurePaths:
         err = json.loads(res.stderr)
         assert err["kind"] == "error" and "--points" in err["message"]
 
+    @pytest.mark.parametrize("x", ["0.0", "0.5", "1.0"])
+    def test_rn_rejects_n_one_at_every_x(self, capsys, x):
+        # R_n needs n > 1, also at the endpoints where the pmf is a point mass
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--op", "rn", "--fn", "sqrt", "--n", "1", "--x", x])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["kind"] == "error" and "requires n > 1" in err["message"]
+
     def test_zero_c_samples_is_usage_error(self):
         res = run_main(["verify", "--lemma", "--n", "2..3", "--c-samples", "0"])
         assert res.returncode == 2

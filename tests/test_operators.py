@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from polya_bernstein import operators
+from polya_bernstein import operators, polya
 from polya_bernstein.operators import (
     BUILTIN_FUNCTIONS,
     CProfile,
@@ -19,10 +19,8 @@ from polya_bernstein.operators import (
     polya_operator_eval,
     popoviciu_ratio,
     popoviciu_scan,
-    r_n_curve,
-    r_n_eval,
 )
-from polya_bernstein.polya import PolyaParams, pmf, truncated_first_moment
+from polya_bernstein.polya import PolyaParams, pmf, pmf_matrix, truncated_first_moment
 from polya_bernstein.reports import GridSpec
 
 CONST_ONE = operators.FunctionSpec("one", lambda t: np.ones_like(t))
@@ -90,6 +88,32 @@ class TestPolyaOperator:
             got = polya_operator_eval(f, 2, 0.5, CProfile("rn"))
             assert got == pytest.approx(float(f(0.5)), abs=1e-13), name
 
+    def test_point_query_is_the_one_point_curve(self):
+        rng = np.random.default_rng(17)
+        profiles = (CProfile("rn"), CProfile("zero"), CProfile("constant", 0.02))
+        for f in BUILTIN_FUNCTIONS.values():
+            for profile in profiles:
+                for n in rng.integers(2, 201, size=4).tolist():
+                    for x in (0.0, 1.0, *rng.uniform(0.0, 1.0, size=3).tolist()):
+                        want = float(operator_curve(f, n, np.array([x]), profile)[0])
+                        assert polya_operator_eval(f, n, x, profile) == want, (f.name, n, x)
+
+    def test_every_route_checks_the_pmf_sum(self, monkeypatch):
+        # a binomial row 1e-9 too large makes every interior column sum
+        # drift; the point-mass column at x = 0 clips back to 1, so only the
+        # second column of the first call drifts
+        true_row = polya.binomial_row
+        monkeypatch.setattr(polya, "binomial_row", lambda n: true_row(n) * (1.0 + 1e-9))
+        f = builtin_function("sin-pi")
+        for call in (
+            lambda: pmf_matrix(8, np.array([0.0, 0.3]), np.array([0.0, 0.01])),
+            lambda: pmf(PolyaParams(8, 0.3, 0.7, 0.01)),
+            lambda: operator_curve(f, 8, np.linspace(0.0, 1.0, 5), CProfile("rn")),
+            lambda: polya_operator_eval(f, 8, 0.3, CProfile("rn")),
+        ):
+            with pytest.raises(ArithmeticError, match="drifts"):
+                call()
+
     def test_rejects_negative_constant_profile(self):
         with pytest.raises(ValueError):
             CProfile("constant", -0.1)
@@ -98,33 +122,35 @@ class TestPolyaOperator:
 class TestRn:
     def test_endpoint_interpolation(self):
         f = builtin_function("abs-mid")
-        assert r_n_eval(f, 6, 0.0) == 0.5
-        assert r_n_eval(f, 6, 1.0) == 0.5
+        assert polya_operator_eval(f, 6, 0.0, CProfile("rn")) == 0.5
+        assert polya_operator_eval(f, 6, 1.0, CProfile("rn")) == 0.5
 
     def test_linear_reproduction(self):
-        assert r_n_eval(builtin_function("linear"), 10, 0.73) == pytest.approx(0.73, abs=1e-12)
+        assert polya_operator_eval(
+            builtin_function("linear"), 10, 0.73, CProfile("rn")
+        ) == pytest.approx(0.73, abs=1e-12)
 
     def test_square_n6_brute_force_oracle(self):
         # frozen from the direct pmf summation with c = -0.1
-        assert r_n_eval(builtin_function("square"), 6, 0.5) == pytest.approx(
-            0.2685185185185185, abs=1e-12
-        )
+        assert polya_operator_eval(
+            builtin_function("square"), 6, 0.5, CProfile("rn")
+        ) == pytest.approx(0.2685185185185185, abs=1e-12)
 
     def test_rejects_n_one(self):
         with pytest.raises(ValueError):
-            r_n_eval(builtin_function("linear"), 1, 0.5)
+            polya_operator_eval(builtin_function("linear"), 1, 0.5, CProfile("rn"))
 
     def test_curve_matches_pointwise(self, pmf_oracle):
         # against sum_k f(k/n) p_k(x) over the pmf in 50-digit arithmetic
         f = builtin_function("sqrt")
         xs = np.linspace(0, 1, 21)
         fk = f(np.arange(10) / 9)
-        curve = r_n_curve(f, 9, xs)
+        curve = operator_curve(f, 9, xs, CProfile("rn"))
         for x, v in zip(xs, curve):
             x = float(x)
             want = float(fk @ np.array(pmf_oracle(9, x, -min(x, 1 - x) / 8)))
             assert v == pytest.approx(want, abs=1e-13)
-            assert r_n_eval(f, 9, x) == pytest.approx(want, abs=1e-13)
+            assert polya_operator_eval(f, 9, x, CProfile("rn")) == pytest.approx(want, abs=1e-13)
 
 
 class TestModulusOfContinuity:
@@ -286,7 +312,8 @@ class TestPopoviciuRatio:
         f = builtin_function("sawtooth")
         rep = popoviciu_ratio(f, 5, self.GRID, "rn")
         omega = rep.meta["omega"]
-        val = abs(r_n_eval(f, 5, rep.argmax_x) - float(f(rep.argmax_x))) / omega
+        opx = polya_operator_eval(f, 5, rep.argmax_x, CProfile("rn"))
+        val = abs(opx - float(f(rep.argmax_x))) / omega
         assert val == pytest.approx(rep.sup, rel=1e-12)
 
 

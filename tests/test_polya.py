@@ -115,7 +115,7 @@ class TestPmf:
 
 
 def row_loop_products(n, x, c):
-    """The scaled rising products of polya._products, accumulated one row
+    """The scaled rising products of rising_products, accumulated one row
     at a time whatever the width."""
     ic = np.arange(n, dtype=float)[:, None] * c[None, :]
     fa, fb, fd = x[None, :] + ic, (1.0 - x)[None, :] + ic, 1.0 + ic
@@ -140,7 +140,7 @@ class TestProductWidths:
         x = rng.uniform(0.0, 1.0, width)
         c = rng.uniform(0.0, 1.0, width)
         c = -c * np.minimum(x, 1.0 - x) / (n - 1) if sign < 0 else sign * c
-        got = polya._products(n, x, c, scaled=True)
+        got = rising_products(n, x, c, scaled=True)
         for have, want in zip(got, row_loop_products(n, x, c)):
             assert np.array_equal(have, want)
 
