@@ -23,7 +23,6 @@ from .operators import (
     modulus_of_continuity,
     operator_curve,
     polya_operator_eval,
-    popoviciu_ratio,
     popoviciu_scan,
 )
 from .analysis import (

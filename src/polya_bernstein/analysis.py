@@ -39,7 +39,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .numeric_core import binomial_row, factorial_ratio, strict_floor_bracket
+from .numeric_core import binomial_row, strict_floor_bracket
 from .operators import CProfile
 from .polya import (
     PolyaParams,
@@ -47,6 +47,7 @@ from .polya import (
     log_rising,
     pmf_matrix,
     rising_products,
+    truncated_first_moment,
     validate,
     validate_sweep,
 )
@@ -104,19 +105,20 @@ def bracket_jumps(n: int) -> list[float]:
 
 
 def f_n_c(n: int, x: float, c: float) -> float:
-    """The truncated-first-moment function F_n^c at a single point."""
+    """The truncated-first-moment function F_n^c at a single point: the
+    Kozniewska closed form of
+    :func:`~polya_bernstein.polya.truncated_first_moment` at r(x), or 0."""
     if n <= 1:
         raise ValueError(f"F_n^c requires n > 1, got {n}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0,1], got {x}")
-    validate(PolyaParams(n, x, 1.0 - x, c))
-    if x <= 1.0 / math.sqrt(n):
-        return 0.0
-    r = strict_floor_bracket(n * x - math.sqrt(n))
-    if r < 0:
-        return 0.0
-    r = min(r, n - 1)
-    return math.comb(n - 1, r) * factorial_ratio(x, r, n, c)
+    params = PolyaParams(n, x, 1.0 - x, c)
+    if x > 1.0 / math.sqrt(n):
+        r = strict_floor_bracket(n * x - math.sqrt(n))
+        if r >= 0:
+            return truncated_first_moment(params, min(r, n - 1))
+    validate(params)
+    return 0.0
 
 
 def f_n_c_curve(n: int, xs: np.ndarray, cs) -> np.ndarray:
@@ -254,13 +256,19 @@ def _scan_sup_one(args) -> tuple[int, float, float]:
     return n, float(vals[idx]), float(xs[idx])
 
 
-def _parse_n_range(n_range: Iterable[int] | tuple[int, int]) -> list[int]:
-    ns = sorted(set(int(n) for n in n_range))
+def _parse_n_range(n_range: Iterable[int], n_max: int | None = None) -> list[int]:
+    """The distinct n of n_range in increasing order, all >= 2 and, if
+    n_max is given, <= n_max.  An ascending range is checked before its n
+    are listed, so a huge one is rejected in O(1) memory."""
+    ascending = isinstance(n_range, range) and n_range.step > 0
+    ns = n_range if ascending else sorted(set(int(n) for n in n_range))
     if not ns:
         raise ValueError("empty n range")
     if ns[0] < 2:
         raise ValueError(f"scans require n >= 2, got {ns[0]}")
-    return ns
+    if n_max is not None and ns[-1] > n_max:
+        raise ValueError(f"scan range capped at n = {n_max}, got {ns[-1]}")
+    return list(ns)
 
 
 def _map_over_n(fn, args_list: Sequence, workers: int = 1) -> list:
@@ -291,9 +299,7 @@ def scan_sup(
     The grid is refined one-sided at the quantity's jumps; the global sup
     follows :meth:`ScanReport.from_per_n`.
     """
-    ns = _parse_n_range(n_range)
-    if ns[-1] > 200:
-        raise ValueError(f"scan range capped at n = 200, got {ns[-1]}")
+    ns = _parse_n_range(n_range, n_max=200)
     if grid.points < 1000:
         raise ValueError(f"sup scans need >= 1000 grid points, got {grid.points}")
     _profile(c_mode)  # validate mode early

@@ -22,8 +22,9 @@ DEFAULT_POINTS = 10001
 DEFAULT_C_SAMPLES = 21
 
 
-def _parse_range(text: str) -> list[int]:
-    """Inclusive range 'lo..hi', or a single integer."""
+def _parse_range(text: str) -> range:
+    """Inclusive range 'lo..hi', or a single integer.  A range, not a list,
+    so a scan can check its bounds before any n is built."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
@@ -31,7 +32,7 @@ def _parse_range(text: str) -> list[int]:
         lo = hi = int(text)
     if hi < lo:
         raise click.UsageError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -130,16 +131,16 @@ def cmd_scan(mode, n_range, c_mode, bound, fn, fn_csv, op, points, out, curves_c
     for operator error/modulus ratios of a test function."""
     if mode is None:
         raise click.UsageError("select one of --sikkema or --popoviciu")
-    if bound is not None and mode != "sikkema":
-        raise click.UsageError("--bound applies to --sikkema scans only")
-    if c_mode is not None and mode != "sikkema":
-        raise click.UsageError("--c-mode applies to --sikkema scans only")
-    if op is not None and mode != "popoviciu":
-        raise click.UsageError("--op applies to --popoviciu scans only")
-    if curves_csv is not None and mode != "sikkema":
-        raise click.UsageError("--curves-csv applies to --sikkema scans only")
-    if (fn is not None or fn_csv is not None) and mode != "popoviciu":
-        raise click.UsageError("--fn and --fn-csv apply to --popoviciu scans only")
+    for option, value, owner in (
+        ("--bound", bound, "sikkema"),
+        ("--c-mode", c_mode, "sikkema"),
+        ("--op", op, "popoviciu"),
+        ("--curves-csv", curves_csv, "sikkema"),
+        ("--fn", fn, "popoviciu"),
+        ("--fn-csv", fn_csv, "popoviciu"),
+    ):
+        if value is not None and mode != owner:
+            raise click.UsageError(f"{option} applies to --{owner} scans only")
     ns = _parse_range(n_range)
     workers = _resolve_workers(workers)
     grid = GridSpec(points=points)

@@ -44,10 +44,13 @@ def strict_floor_bracket(a):
 def factorial_ratio(x: float, r: int, n: int, c: float) -> float:
     """Stabilized evaluation of x^(r+1,c) * (1-x)^(n-r,c) / 1^(n,c).
 
-    The numerator has n+1 factors and the denominator n; factor i of the
-    numerator is divided by factor i of the denominator so intermediate
-    magnitudes stay near 1, and the single leftover numerator factor is
-    applied last.  Exact zero factors in the numerator give exactly 0.
+    Each factor is the float x + i*c, (1-x) + j*c or 1 + i*c.  A numerator
+    factor <= 0 is the admissibility boundary's exact 0, which rounding can
+    leave a few ulps to either side: it makes the result exactly 0, as in
+    :func:`~polya_bernstein.polya.log_rising`.  The numerator has n+1
+    factors and the denominator n; factor i of the numerator is divided by
+    factor i of the denominator so intermediate magnitudes stay near 1, and
+    the single leftover numerator factor is applied last.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0,1], got {x}")
@@ -62,7 +65,8 @@ def factorial_ratio(x: float, r: int, n: int, c: float) -> float:
         if den == 0.0:
             raise ZeroDivisionError(f"denominator factor 1 + {i}*c vanishes for c={c}")
         prod *= num[i] / den
-    return prod * num[n]
+    # Each run of factors is monotone in i, so its least factor is an end.
+    return prod * num[n] if min(num[0], num[r], num[r + 1], num[n]) > 0.0 else 0.0
 
 
 @functools.lru_cache(maxsize=512)
@@ -71,15 +75,17 @@ def binomial_row(n: int, log: bool = False) -> np.ndarray:
     read-only and cached per (n, log).
 
     The coefficients come exact from the integer recurrence
-    C(n, k+1) = C(n, k) (n-k) // (k+1) and are rounded once, so the row
+    C(n, k+1) = C(n, k) (n-k) // (k+1), run to the middle of the row and
+    mirrored, and are rounded once, so the row
     equals ``[math.comb(n, k) ...]`` bit for bit.  The log row logs the
     exact integers, not the rounded floats (np.log of the float row can
     move a last bit), and has no size cap; the float row raises
     OverflowError once C(n, n/2) passes the float range (n > 1029).
     """
     row = [1]
-    for k in range(n):
+    for k in range(n // 2):
         row.append(row[-1] * (n - k) // (k + 1))
+    row += row[: n - n // 2][::-1]
     out = np.array([math.log(v) for v in row] if log else row, dtype=float)
     out.flags.writeable = False
     return out

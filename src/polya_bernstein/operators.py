@@ -33,7 +33,6 @@ __all__ = [
     "polya_operator_eval",
     "operator_curve",
     "modulus_of_continuity",
-    "popoviciu_ratio",
     "popoviciu_scan",
 ]
 
@@ -76,12 +75,14 @@ def builtin_function(name: str) -> FunctionSpec:
 
 
 def function_from_samples(xs: Sequence[float], fx: Sequence[float], name: str = "table") -> FunctionSpec:
-    """Piecewise-linear function through (xs, fx); xs must strictly increase
-    and cover both endpoints of [0,1]."""
+    """Piecewise-linear function through (xs, fx); the samples must be
+    finite, xs must strictly increase and cover both endpoints of [0,1]."""
     xs = np.asarray(xs, dtype=float)
     fx = np.asarray(fx, dtype=float)
     if xs.ndim != 1 or xs.shape != fx.shape or xs.size < 2:
         raise ValueError("samples must be two equal-length 1-D sequences of length >= 2")
+    if not (np.isfinite(xs).all() and np.isfinite(fx).all()):
+        raise ValueError("samples must be finite")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("sample abscissae must be strictly increasing")
     if xs[0] != 0.0 or xs[-1] != 1.0:
@@ -182,12 +183,7 @@ def operator_curve(f: FunctionSpec, n: int, xs: np.ndarray, profile: CProfile) -
     cs = np.asarray(profile.c_at(xs, n), dtype=float)
     probs = pmf_matrix(n, xs, cs)
     k = np.arange(n + 1, dtype=float)
-    vals = np.asarray(f(k / n)) @ probs
-    # point-mass endpoints, computed directly
-    ends = (xs == 0.0) | (xs == 1.0)
-    if np.any(ends):
-        vals[ends] = np.asarray(f(xs[ends]))
-    return vals
+    return np.asarray(f(k / n)) @ probs
 
 
 def _modulus_window(delta: float, resolution: int) -> int:
@@ -241,15 +237,23 @@ def modulus_of_continuity(f: FunctionSpec, delta: float, resolution: int = OMEGA
     return _window_spread(_modulus_samples(f, resolution), window)
 
 
-def _popoviciu_rows(f, ns, grid, operator):
-    """(n, sup, argmax_x, omega) of the ratio |Op(f;x) - f(x)| / omega(n^{-1/2})
-    for each n, from f sampled once on the modulus grid and once on the scan
-    grid."""
+def popoviciu_scan(
+    f: FunctionSpec, ns: Sequence[int], grid: GridSpec, operator: str = "rn"
+) -> ScanReport:
+    """Per-n and global sup over the grid of |Op(f;x) - f(x)| / omega(n^{-1/2}),
+    with omega on a grid of OMEGA_RESOLUTION + 1 points.
+
+    operator is "bernstein" or "rn".  f is sampled once on the modulus grid
+    and once on the scan grid.  The global sup follows
+    :meth:`ScanReport.from_per_n`.  Rejects (near-)constant f, whose ratio
+    is 0/0.
+    """
     if operator not in ("bernstein", "rn"):
         raise ValueError(f"unknown operator {operator!r}")
     vals = _modulus_samples(f, OMEGA_RESOLUTION)
     xs = np.linspace(0.0, 1.0, grid.points)
     fx = np.asarray(f(xs))
+    per_n = []
     for n in ns:
         if n <= 1:
             raise ValueError(f"ratio scan requires n > 1, got {n}")
@@ -262,34 +266,7 @@ def _popoviciu_rows(f, ns, grid, operator):
             curve = operator_curve(f, n, xs, CProfile("rn"))
         ratios = np.abs(curve - fx) / omega
         idx = int(np.argmax(ratios))  # first occurrence: ties break toward smaller x
-        yield n, float(ratios[idx]), float(xs[idx]), omega
-
-
-def popoviciu_scan(
-    f: FunctionSpec, ns: Sequence[int], grid: GridSpec, operator: str = "rn"
-) -> ScanReport:
-    """Per-n and global sup over the grid of |Op(f;x) - f(x)| / omega(n^{-1/2}),
-    with omega on a grid of OMEGA_RESOLUTION + 1 points.
-
-    operator is "bernstein" or "rn".  The global sup follows
-    :meth:`ScanReport.from_per_n`.  Rejects (near-)constant f, whose ratio
-    is 0/0.
-    """
+        per_n.append((n, float(ratios[idx]), float(xs[idx])))
     return ScanReport.from_per_n(
-        [row[:3] for row in _popoviciu_rows(f, ns, grid, operator)],
-        grid,
-        {"operator": operator, "function": f.name, "kind": "popoviciu-ratio"},
-    )
-
-
-def popoviciu_ratio(f: FunctionSpec, n: int, grid: GridSpec, operator: str = "rn") -> ScanReport:
-    """The one-n view of :func:`popoviciu_scan`, with omega(n^{-1/2}) in
-    ``meta["omega"]``."""
-    ((n, sup, x, omega),) = _popoviciu_rows(f, [n], grid, operator)
-    return ScanReport(
-        sup=sup,
-        argmax_x=x,
-        grid=grid,
-        argmax_n=n,
-        meta={"operator": operator, "function": f.name, "omega": omega, "n": n},
+        per_n, grid, {"operator": operator, "function": f.name, "kind": "popoviciu-ratio"}
     )

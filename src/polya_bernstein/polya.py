@@ -15,7 +15,6 @@ c < 0 removes weight after each draw.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,9 +281,10 @@ def truncated_first_moment(
     """Truncated first moment sum_{k=0}^{r} (a - k/n) * pmf[k], for a+b = 1.
 
     method="closed" uses the Kozniewska identity
-    C(n-1,r) * a^(r+1,c) * (1-a)^(n-r,c) / 1^(n,c); method="brute" sums the
-    literal series over the pmf.  The two agree to ~1e-15 and the brute
-    route is kept as an independent oracle.
+    C(n-1,r) * a^(r+1,c) * (1-a)^(n-r,c) / 1^(n,c), the one scalar copy of
+    that closed form (:func:`~polya_bernstein.analysis.f_n_c` calls it);
+    method="brute" sums the literal series over the pmf.  The two agree to
+    ~1e-15 and the brute route is kept as an independent oracle.
     """
     if abs(params.a + params.b - 1.0) > 1e-12:
         raise ValueError(f"truncated moment requires a+b = 1, got {params.a + params.b}")
@@ -293,7 +293,7 @@ def truncated_first_moment(
         raise ValueError(f"r must lie in 0..n-1, got r={r}, n={n}")
     validate(params)
     if method == "closed":
-        return math.comb(n - 1, r) * factorial_ratio(params.a, r, n, params.c)
+        return float(binomial_row(n - 1)[r]) * factorial_ratio(params.a, r, n, params.c)
     if method == "brute":
         terms = (params.a - np.arange(r + 1) / n) * pmf(params)[: r + 1]
         # Summed in k order; + 0.0 turns a -0.0 total into 0.0, as a sum

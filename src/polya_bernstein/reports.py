@@ -46,13 +46,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Result of a sup-search over x (and optionally n)."""
+    """Result of a sup-search over x and n."""
 
     sup: float
     argmax_x: float
     grid: GridSpec
-    argmax_n: int | None = None
-    per_n: tuple[tuple[int, float, float], ...] | None = None  # (n, sup_n, argmax_x_n)
+    argmax_n: int
+    per_n: tuple[tuple[int, float, float], ...]  # (n, sup_n, argmax_x_n)
     meta: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
@@ -68,7 +68,7 @@ class ScanReport:
         return cls(sup=sup, argmax_x=x, argmax_n=n, grid=grid, per_n=tuple(per_n), meta=meta)
 
     def to_json_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
+        return {
             "schema": SCHEMA_VERSION,
             "kind": "scan",
             "sup": self.sup,
@@ -76,12 +76,8 @@ class ScanReport:
             "argmax_n": self.argmax_n,
             "grid": self.grid.to_json_dict(),
             "meta": self.meta,
+            "per_n": [{"n": n, "sup": sup_n, "argmax_x": ax} for n, sup_n, ax in self.per_n],
         }
-        if self.per_n is not None:
-            d["per_n"] = [
-                {"n": n, "sup": sup_n, "argmax_x": ax} for n, sup_n, ax in self.per_n
-            ]
-        return d
 
 
 @dataclass(frozen=True)

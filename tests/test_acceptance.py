@@ -108,10 +108,9 @@ def test_criterion_8_theorem_level_bound():
     grid = GridSpec(points=2001)
     worst, where = 0.0, None
     for name, f in BUILTIN_FUNCTIONS.items():
-        for n in range(2, 31):
-            rep = operators.popoviciu_ratio(f, n, grid, "rn")
-            if rep.sup > worst:
-                worst, where = rep.sup, (name, n)
+        for n, sup, _ in operators.popoviciu_scan(f, range(2, 31), grid, "rn").per_n:
+            if sup > worst:
+                worst, where = sup, (name, n)
     ok = worst <= 1.08970 + 1e-6
     _report(8, "uniform error / modulus ratio bound", ok,
             f"max ratio = {worst:.6f} at {where} (bound 1.089701)")

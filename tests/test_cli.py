@@ -127,8 +127,9 @@ class TestScan:
         assert (payload["argmax_n"], payload["sup"], payload["argmax_x"]) == pin[0][:3]
         f = operators.builtin_function("sqrt")
         for n, sup, x, omega in pin:
-            rep = operators.popoviciu_ratio(f, n, GridSpec(points=2001), "bernstein")
-            assert (rep.sup, rep.argmax_x, rep.meta["omega"]) == (sup, x, omega)
+            rep = operators.popoviciu_scan(f, [n], GridSpec(points=2001), "bernstein")
+            assert (rep.sup, rep.argmax_x) == (sup, x)
+            assert operators.modulus_of_continuity(f, n ** -0.5) == omega
 
     def test_curves_csv_export(self, runner, tmp_path):
         out = tmp_path / "scan.json"
@@ -326,6 +327,7 @@ class TestFailurePaths:
             (["--sikkema", "--fn-csv", "{table}"], "--fn-csv"),
             (["--sikkema", "--op", "bernstein"], "--op"),
             (["--popoviciu", "--fn", "sqrt", "--c-mode", "rn"], "--c-mode"),
+            (["--popoviciu", "--fn", "sqrt", "--bound", "bracket"], "--bound"),
         ],
     )
     def test_scan_options_of_the_other_mode(self, tmp_path, capsys, args, complaint):
@@ -403,6 +405,19 @@ class TestResources:
         assert exit_code == 0
         assert peak_mib < 150
         assert blocked.read_bytes() == whole.read_bytes()
+
+    def test_huge_n_range_is_rejected_before_it_is_built(self, peak_rss):
+        """The n <= 200 cap is checked on the range's bounds; listing
+        2..4000000 first took 374 MiB."""
+        args = ["scan", "--sikkema", "--n", "2..4000000", "--workers", "1"]
+        res = run_main(args)
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert err["kind"] == "error" and "capped at n = 200" in err["message"]
+        exit_code, peak_mib = peak_rss(
+            "import sys; from polya_bernstein.cli import main; main(sys.argv[1:])", *args)
+        assert exit_code == 2
+        assert peak_mib < 100
 
     def test_verifier_sweep_memory_is_bounded(self, tmp_path, peak_rss):
         """The fused lemma and Kozniewska sweep holds column blocks, not

@@ -3,17 +3,19 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from polya_bernstein.numeric_core import binomial_row, factorial_ratio, strict_floor_bracket
 
 
 def rising_oracle(x, n, h):
-    """x (x+h) ... (x+(n-1)h) in 50-digit arithmetic."""
+    """x (x+h) ... (x+(n-1)h) in 50-digit arithmetic over the float factors
+    x + i*h, a factor <= 0 taken as the boundary's exact 0, which is how
+    factorial_ratio defines its factors."""
     with mpmath.workdps(50):
         value = mpmath.mpf(1)
         for i in range(n):
-            value *= mpmath.mpf(x) + i * mpmath.mpf(h)
+            value *= max(x + i * h, 0.0)
         return value
 
 
@@ -21,9 +23,19 @@ def ratio_oracle(x, r, n, c):
     """x^(r+1,c) (1-x)^(n-r,c) / 1^(n,c) from the product definition."""
     with mpmath.workdps(50):
         return float(
-            rising_oracle(x, r + 1, c) * rising_oracle(1 - mpmath.mpf(x), n - r, c)
+            rising_oracle(x, r + 1, c) * rising_oracle(1.0 - x, n - r, c)
             / rising_oracle(1.0, n, c)
         )
+
+
+@st.composite
+def ratio_cases(draw):
+    """(x, r, n, c) with c between the admissibility boundary and 0."""
+    x = draw(st.floats(min_value=0.05, max_value=0.95))
+    n = draw(st.integers(min_value=2, max_value=20))
+    r = draw(st.integers(min_value=0, max_value=n - 1))
+    c = draw(st.floats(min_value=-min(x, 1 - x) / (n - 1), max_value=0.0))
+    return x, r, n, c
 
 
 def check_strict_floor(cases):
@@ -96,17 +108,21 @@ class TestFactorialRatio:
         assert naive == pytest.approx(1 / 210, rel=1e-15)
         assert factorial_ratio(0.5, 2, 6, -0.1) == pytest.approx(naive, rel=1e-12)
 
-    @given(
-        x=st.floats(min_value=0.05, max_value=0.95),
-        n=st.integers(min_value=2, max_value=20),
-        data=st.data(),
-    )
-    def test_matches_naive_quotient(self, x, n, data):
-        r = data.draw(st.integers(min_value=0, max_value=n - 1))
-        cmin = -min(x, 1 - x) / (n - 1)
-        c = data.draw(st.floats(min_value=cmin, max_value=0.0))
+    # At the boundary c = -x/11 the float factor x + 11c is 0.0, though on
+    # these float inputs the exact sum is -1.4e-17.
+    @example(case=(0.31625333695005836, 11, 12, -0.31625333695005836 / 11))
+    @given(case=ratio_cases())
+    def test_matches_naive_quotient(self, case):
+        x, r, n, c = case
         naive = ratio_oracle(x, r, n, c)
         assert factorial_ratio(x, r, n, c) == pytest.approx(naive, rel=1e-12, abs=1e-300)
+
+    def test_factor_rounded_below_zero_is_the_boundary_zero(self):
+        # at the boundary c = -x/11 the float factor x + 11c is -1.4e-17
+        x, c = 0.1, -0.1 / 11
+        assert x + 11 * c < 0.0
+        got = factorial_ratio(x, 11, 12, c)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
     def test_rejects_vanishing_denominator(self):
         with pytest.raises(ZeroDivisionError):

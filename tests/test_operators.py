@@ -17,7 +17,6 @@ from polya_bernstein.operators import (
     modulus_of_continuity,
     operator_curve,
     polya_operator_eval,
-    popoviciu_ratio,
     popoviciu_scan,
 )
 from polya_bernstein.polya import PolyaParams, pmf, pmf_matrix, truncated_first_moment
@@ -284,34 +283,44 @@ class TestSampledTables:
         with pytest.raises(ValueError, match="x=0"):
             function_from_samples([0.1, 1.0], [0, 1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["xs", "fx"])
+    def test_rejects_non_finite_samples(self, bad, where):
+        samples = {"xs": [0.0, 0.5, 1.0], "fx": [0.0, 1.0, 0.0]}
+        samples[where][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            function_from_samples(samples["xs"], samples["fx"])
+
     def test_piecewise_linear_modulus_is_exact(self):
         f = function_from_samples([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
         assert modulus_of_continuity(f, 0.25, 4000) == pytest.approx(0.5, abs=1e-3)
 
 
 class TestPopoviciuRatio:
+    """The ratio at one n, as the one-n scan."""
+
     GRID = GridSpec(points=2001)
 
     def test_linear_ratio_vanishes(self):
-        rep = popoviciu_ratio(builtin_function("linear"), 8, self.GRID, "rn")
+        rep = popoviciu_scan(builtin_function("linear"), [8], self.GRID, "rn")
         assert rep.sup <= 1e-10
 
     def test_rn_below_paper_constant(self):
-        rep = popoviciu_ratio(builtin_function("abs-mid"), 6, self.GRID, "rn")
+        rep = popoviciu_scan(builtin_function("abs-mid"), [6], self.GRID, "rn")
         assert rep.sup <= 1.08970
 
     def test_bernstein_below_optimal_constant(self):
-        rep = popoviciu_ratio(builtin_function("abs-mid"), 6, self.GRID, "bernstein")
+        rep = popoviciu_scan(builtin_function("abs-mid"), [6], self.GRID, "bernstein")
         assert rep.sup <= 1.0898874
 
     def test_rejects_constant_function(self):
         with pytest.raises(ValueError, match="constant"):
-            popoviciu_ratio(CONST_ONE, 6, self.GRID, "rn")
+            popoviciu_scan(CONST_ONE, [6], self.GRID, "rn")
 
     def test_report_witness_reproduces_sup(self):
         f = builtin_function("sawtooth")
-        rep = popoviciu_ratio(f, 5, self.GRID, "rn")
-        omega = rep.meta["omega"]
+        rep = popoviciu_scan(f, [5], self.GRID, "rn")
+        omega = modulus_of_continuity(f, 5 ** -0.5)
         opx = polya_operator_eval(f, 5, rep.argmax_x, CProfile("rn"))
         val = abs(opx - float(f(rep.argmax_x))) / omega
         assert val == pytest.approx(rep.sup, rel=1e-12)
@@ -327,16 +336,29 @@ class TestPopoviciuScan:
         for f in (builtin_function("sqrt"), builtin_function("sawtooth"), table):
             ns = [2, 3, 5, 8, 13, 40]
             rep = popoviciu_scan(f, ns, self.GRID, op)
-            singles = [popoviciu_ratio(f, n, self.GRID, op) for n in ns]
-            assert rep.per_n == tuple((r.argmax_n, r.sup, r.argmax_x) for r in singles)
+            singles = [popoviciu_scan(f, [n], self.GRID, op) for n in ns]
+            assert all(r.per_n == ((r.argmax_n, r.sup, r.argmax_x),) for r in singles)
+            assert rep.per_n == tuple(r.per_n[0] for r in singles)
             best = max(singles, key=lambda r: r.sup)
             assert (rep.argmax_n, rep.sup, rep.argmax_x) == (best.argmax_n, best.sup, best.argmax_x)
             assert rep.meta == {"operator": op, "function": f.name, "kind": "popoviciu-ratio"}
 
     def test_ties_go_to_the_smallest_n(self, monkeypatch):
-        rows = [(2, 0.5, 0.1, 1.0), (3, 0.75, 0.2, 1.0), (4, 0.75, 0.3, 1.0)]
-        monkeypatch.setattr(operators, "_popoviciu_rows", lambda *args: iter(rows))
-        rep = popoviciu_scan(builtin_function("sqrt"), [2, 3, 4], self.GRID)
+        # f = 0 and omega = 1, so each n's ratio curve is the operator curve:
+        # a single spike of sup_n at argmax_x_n
+        spikes = {2: (0.5, 0.1), 3: (0.75, 0.2), 4: (0.75, 0.3)}
+
+        def curve(f, n, xs, profile):
+            out = np.zeros_like(xs)
+            sup, x = spikes[n]
+            out[int(np.flatnonzero(xs == x)[0])] = sup
+            return out
+
+        monkeypatch.setattr(operators, "_window_spread", lambda vals, window: 1.0)
+        monkeypatch.setattr(operators, "operator_curve", curve)
+        zero = operators.FunctionSpec("zero", np.zeros_like)
+        rep = popoviciu_scan(zero, [2, 3, 4], self.GRID)
+        assert rep.per_n == ((2, 0.5, 0.1), (3, 0.75, 0.2), (4, 0.75, 0.3))
         assert (rep.argmax_n, rep.sup, rep.argmax_x) == (3, 0.75, 0.2)
 
     def test_rejects_bad_inputs(self):
