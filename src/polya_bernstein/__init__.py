@@ -27,7 +27,6 @@ from .operators import (
 )
 from .analysis import (
     breakpoints,
-    conjecture_scan,
     f_n_c,
     f_n_c_curve,
     n6_case_check,

@@ -17,13 +17,14 @@ two Sikkema-style quantities over n and x:
     which dominates S_n^c pointwise since ]lam[ <= lam and ]lam[ = 0 for
     lam <= 1.  This is the bound the paper proves for the boundary profile.
 
-It also verifies the rising-factorial inequality underlying the c <= 0
-comparison ("lemma"), cross-checks the closed form against brute-force pmf
-sums ("kozniewska"), reproduces the n = 6 case bounds, and explores the
-monotonicity-in-c conjecture.  The lemma, Kozniewska and conjecture checks
-run through one per-n engine, :func:`_sweep_n`: one point-major layout of
-(x, c) cells, one loop over blocks of them, and one witness rule,
-:func:`_first_min`, under which the first cell of an extreme value wins.
+It also reproduces the n = 6 case bounds, and :func:`verify_sweep` runs
+three sweep checks over n: the rising-factorial inequality underlying the
+c <= 0 comparison ("lemma"), the closed form against brute-force pmf sums
+("kozniewska"), and the open monotonicity-in-c conjecture ("conjecture").
+Each check declares its point-major layout of (x, c) cells, and one per-n
+engine, :func:`_sweep_n`, runs every check of a layout in one loop over
+blocks of cells, with one witness rule, :func:`_first_min`, under which
+the first cell of an extreme value wins.
 
 F_n^c jumps at the breakpoints x = 1/sqrt(n) + k/n where r(x) changes, and
 S_n^c at x = k/n +- m/sqrt(n) where a bracket changes, so sup scans refine
@@ -51,7 +52,7 @@ from .polya import (
     validate,
     validate_sweep,
 )
-from .reports import BREAKPOINT_OFFSET, GridSpec, ScanReport, VerificationReport
+from .reports import BREAKPOINT_OFFSET, GridSpec, ScanReport, VerificationReport, _parse_n_range
 
 __all__ = [
     "f_n_c",
@@ -64,7 +65,6 @@ __all__ = [
     "scan_sup",
     "verify_sweep",
     "n6_case_check",
-    "conjecture_scan",
 ]
 
 LEMMA_TOL = 1e-13
@@ -168,18 +168,18 @@ def _profile(c_mode: str) -> CProfile:
     return CProfile(c_mode)
 
 
-def _sym_scan_grid(n: int, grid: GridSpec, jumps: Sequence[float] | None = None) -> np.ndarray:
+def _sym_scan_grid(n: int, grid: GridSpec, jumps: Sequence[float]) -> np.ndarray:
     """Scan grid on [0,1], exactly closed under x -> 1-x.
 
-    jumps (default: the majorant's :func:`breakpoints`) are refined
-    one-sided, BREAKPOINT_OFFSET inside each half-open piece.  Candidates
-    are folded into the upper half [1/2, 1] (where 1-x is exact in floating
-    point) and mirrored back, so every grid point's reflection is itself a
-    grid point bit-for-bit.
+    The jumps of the scanned quantity are refined one-sided,
+    BREAKPOINT_OFFSET inside each half-open piece.  Candidates are folded
+    into the upper half [1/2, 1] (where 1-x is exact in floating point) and
+    mirrored back, so every grid point's reflection is itself a grid point
+    bit-for-bit.
     """
     extra = [
         p
-        for b in (breakpoints(n) if jumps is None else jumps)
+        for b in jumps
         for p in (b - BREAKPOINT_OFFSET, b, b + BREAKPOINT_OFFSET)
         if 0.0 <= p <= 1.0
     ]
@@ -256,21 +256,6 @@ def _scan_sup_one(args) -> tuple[int, float, float]:
     return n, float(vals[idx]), float(xs[idx])
 
 
-def _parse_n_range(n_range: Iterable[int], n_max: int | None = None) -> list[int]:
-    """The distinct n of n_range in increasing order, all >= 2 and, if
-    n_max is given, <= n_max.  An ascending range is checked before its n
-    are listed, so a huge one is rejected in O(1) memory."""
-    ascending = isinstance(n_range, range) and n_range.step > 0
-    ns = n_range if ascending else sorted(set(int(n) for n in n_range))
-    if not ns:
-        raise ValueError("empty n range")
-    if ns[0] < 2:
-        raise ValueError(f"scans require n >= 2, got {ns[0]}")
-    if n_max is not None and ns[-1] > n_max:
-        raise ValueError(f"scan range capped at n = {n_max}, got {ns[-1]}")
-    return list(ns)
-
-
 def _map_over_n(fn, args_list: Sequence, workers: int = 1) -> list:
     """Deterministic per-n map; worker count never changes the reduction order.
     The pool is capped at one process per CPU and per item."""
@@ -299,7 +284,7 @@ def scan_sup(
     The grid is refined one-sided at the quantity's jumps; the global sup
     follows :meth:`ScanReport.from_per_n`.
     """
-    ns = _parse_n_range(n_range, n_max=200)
+    ns = _parse_n_range(n_range)
     if grid.points < 1000:
         raise ValueError(f"sup scans need >= 1000 grid points, got {grid.points}")
     _profile(c_mode)  # validate mode early
@@ -377,6 +362,13 @@ class _Sweep:
         self.worst = np.full(slots, math.inf)
         self.where = np.zeros(slots, dtype=int)
 
+    @staticmethod
+    def cells(n: int, xs: np.ndarray, c_samples: int) -> tuple[np.ndarray, np.ndarray]:
+        """The check's (x, c) layout for :func:`_sweep_n`: every grid point
+        x carries c_samples values of c running from the boundary value
+        -min{x,1-x}/(n-1) up to 0."""
+        return xs, CProfile("rn").c_at(xs, n)[:, None] * np.linspace(1.0, 0.0, c_samples)
+
     def witness(self, X: np.ndarray, C: np.ndarray, slot, **extra) -> dict[str, Any]:
         cell = self.where[slot]
         return {"n": self.n, "x": float(X[cell]), "c": float(C[cell]), **extra}
@@ -414,33 +406,33 @@ class _LemmaSweep(_Sweep):
             strict = strict_c[s:]
             fail = strict & (margin <= 0.0)
             # Where rhs underflows, both sides may round to 0; the log ratio
-            # decides strictness there instead of the margin.
-            under = rhs_x < np.finfo(float).tiny
+            # decides strictness there instead of the margin.  At x = 1 rhs
+            # is exactly 0, its log is -inf, and the margin decides.
+            under = (rhs_x < np.finfo(float).tiny) & (xb[g:] < 1.0)
             if np.any(under):
                 t = np.nonzero(strict & np.repeat(under, cs))[0]
-                if t.size:  # empty at x = 1: rhs is 0 there, but c = -0.0 is not strict
-                    fail[t] = _lemma_log_ratio(n, r, X[s + t], C[s + t]) >= 0.0
+                fail[t] = _lemma_log_ratio(n, r, X[s + t], C[s + t]) >= 0.0
             if np.any(fail):
                 f = np.nonzero(fail)[0]
                 _first_min(self.worst[r, 1:], self.where[r, 1:], margin[None, f], cells[s + f])
 
     def result(self, X: np.ndarray, C: np.ndarray) -> dict[str, Any]:
-        r = int(np.argmin(self.worst[:, 0]))
-        worst = float(self.worst[r, 0])
-        last = np.flatnonzero(self.worst[:, 1] < math.inf)[-1:].tolist()  # last failing r
+        r, s = np.argmin(self.worst, axis=0).tolist()  # first r of each kind's smallest margin
+        worst, strict = float(self.worst[r, 0]), float(self.worst[s, 1])
         return {
             "worst": worst,
             "witness": self.witness(X, C, (r, 0), r=r) if worst < math.inf else {},
-            "strict_witness": self.witness(X, C, (last[0], 1), r=last[0]) if last else {},
+            "strict_worst": strict,
+            "strict_witness": self.witness(X, C, (s, 1), r=s) if strict < math.inf else {},
             "checked": self.checked,
         }
 
     @staticmethod
     def report(results: list[dict[str, Any]]) -> VerificationReport:
         """Reduce the per-n results, in n order, to one report: the first
-        smallest margin and the first n with a strict failure."""
+        smallest margin and the first smallest failing strict margin."""
         best = min(results, key=lambda res: res["worst"])
-        strict_witness = next((w for w in (res["strict_witness"] for res in results) if w), {})
+        strict_witness = min(results, key=lambda res: res["strict_worst"])["strict_witness"]
         strict_ok = not strict_witness
         return VerificationReport(
             claim_id="rising-factorial-inequality",
@@ -522,33 +514,112 @@ class _KozniewskaSweep(_Sweep):
         )
 
 
+# The upper end of the conjecture's c range.
+CONJECTURE_C_MAX = 0.2
+
+
+class _ConjectureSweep(_Sweep):
+    """Per-n state of the monotonicity-in-c exploration ("conjecture"): the
+    steps of the rising-factorial ratio x^(r+1,c)(1-x)^(n-r,c)/1^(n,c)
+    between neighbouring c of each grid point, for every integer
+    0 <= r <= n x - sqrt(n).
+
+    Slot (r, k) keeps the most negative step from c grid entry k to k + 1,
+    at the cell of its lower c."""
+
+    def __init__(self, n: int, c_samples: int):
+        if c_samples < 2:
+            raise ValueError(f"c grid needs >= 2 points, got {c_samples}")
+        super().__init__(n, c_samples, (n, c_samples - 1))
+
+    @staticmethod
+    def cells(n: int, xs: np.ndarray, c_samples: int) -> tuple[np.ndarray, np.ndarray]:
+        """The grid points 0 < x < 1 with some r <= n x - sqrt(n), each
+        carrying c_samples values of c from the admissibility boundary
+        -min{x,1-x}/(n-1) up to CONJECTURE_C_MAX."""
+        xa = xs[(_rmax(n, xs) >= 0) & (np.minimum(xs, 1.0 - xs) > 0.0)]
+        cmin = CProfile("rn").c_at(xa, n)[:, None]
+        return xa, cmin + np.linspace(0.0, 1.0, c_samples) * (CONJECTURE_C_MAX - cmin)
+
+    def block(self, cells, xb, rb, X, C, cum_a, cum_b, den) -> None:
+        n, cs = self.n, self.cs
+        for r in range(int(rb[-1]) + 1):
+            s = int(np.searchsorted(rb, r)) * cs  # points with rmax >= r: a suffix
+            ratio = (cum_a[r + 1, s:] * cum_b[n - r, s:] / den[s:]).reshape(-1, cs).T
+            # row k: the steps from c entry k to k + 1 of every point, in cell order
+            steps = np.subtract(ratio[1:], ratio[:-1], order="C")
+            self.checked += int(steps.size)
+            _first_min(self.worst[r], self.where[r], steps, cells[s:].reshape(-1, cs)[:, :-1].T)
+
+    def result(self, X: np.ndarray, C: np.ndarray) -> dict[str, Any]:
+        r, k = np.unravel_index(np.argmin(self.worst), self.worst.shape)
+        worst = float(self.worst[r, k])
+        witness = {}
+        if worst < math.inf:
+            cell = self.where[r, k]
+            witness = {"n": self.n, "x": float(X[cell]), "r": int(r),
+                       "c_lo": float(C[cell]), "c_hi": float(C[cell + 1])}
+        return {"n": self.n, "worst": worst, "witness": witness, "checked": self.checked}
+
+    @staticmethod
+    def report(results: list[dict[str, Any]]) -> VerificationReport:
+        """Reduce the per-n results, in n order, to one report: the first
+        most negative step.  A monotonicity violation is surfaced as a
+        witness (``finding``), not a failure; the conjecture is open.  A
+        sweep that checks no cell is rejected."""
+        checked = sum(res["checked"] for res in results)
+        if not checked:
+            raise ValueError(
+                f"the conjecture sweep checks no cell for n in {results[0]['n']}..{results[-1]['n']}: "
+                "no grid point 0 < x < 1 has r <= n x - sqrt(n); raise --points")
+        best = min(results, key=lambda res: res["worst"])
+        monotone = best["worst"] >= -LEMMA_TOL
+        return VerificationReport(
+            claim_id="monotone-in-c-conjecture",
+            passed=monotone,
+            worst_margin=best["worst"],
+            witness=best["witness"],
+            samples_checked=checked,
+            tolerance=LEMMA_TOL,
+            finding=not monotone,
+            details={"c_max": CONJECTURE_C_MAX},
+        )
+
+
 # Run in this order on each block: the Kozniewska check overwrites the
-# rising products that the lemma reads.
-SWEEPS = {"lemma": _LemmaSweep, "kozniewska": _KozniewskaSweep}
+# rising products that the lemma reads.  The conjecture has its own cell
+# layout, so it gets its own engine pass.
+SWEEPS = {"lemma": _LemmaSweep, "kozniewska": _KozniewskaSweep, "conjecture": _ConjectureSweep}
 
 
 def _verify_sweep_one(args) -> dict[str, dict[str, Any]]:
-    """The requested checks of one n in one engine pass: grid point x
-    carries c_samples values of c running from the boundary value
-    -min{x,1-x}/(n-1) up to 0."""
+    """The requested checks of one n: one engine pass per distinct cell
+    layout, shared by every check that declares it."""
     n, grid, c_samples, checks = args
     xs = np.linspace(0.0, 1.0, grid.points)
-    cgrid = CProfile("rn").c_at(xs, n)[:, None] * np.linspace(1.0, 0.0, c_samples)
-    results = _sweep_n(n, xs, cgrid, [SWEEPS[name](n, c_samples) for name in checks])
-    return dict(zip(checks, results))
+    sweeps = {name: SWEEPS[name](n, c_samples) for name in checks}
+    results = {}
+    for cells in dict.fromkeys(SWEEPS[name].cells for name in checks):
+        group = [name for name in checks if SWEEPS[name].cells is cells]
+        passes = _sweep_n(n, *cells(n, xs, c_samples), [sweeps[name] for name in group])
+        results.update(zip(group, passes))
+    return results
 
 
 def verify_sweep(
     n_range: Iterable[int],
-    checks: Sequence[str] = tuple(SWEEPS),
+    checks: Sequence[str],
     grid: GridSpec = GridSpec(points=2001),
     c_samples: int = 21,
     workers: int = 1,
 ) -> list[VerificationReport]:
-    """Run the requested sweep checks ("lemma", "kozniewska") in one pass
-    per n that computes the rising products once for all of them; returns
-    their reports in that order.  See :class:`_LemmaSweep` and
-    :class:`_KozniewskaSweep` for what each checks."""
+    """Run the requested sweep checks ("lemma", "kozniewska",
+    "conjecture") over n in 2..N_MAX, one engine pass per n and cell
+    layout, in one worker pool; returns their reports in that order.  The
+    lemma and Kozniewska checks share a layout, so their rising products
+    are computed once.  See :class:`_LemmaSweep`,
+    :class:`_KozniewskaSweep` and :class:`_ConjectureSweep` for what each
+    checks."""
     if not checks or not set(checks) <= set(SWEEPS):
         raise ValueError(f"checks must be a nonempty subset of {', '.join(SWEEPS)}")
     ns = _parse_n_range(n_range)
@@ -614,90 +685,4 @@ def n6_case_check(points_per_interval: int = 50001) -> VerificationReport:
         samples_checked=6 * points_per_interval + xs.size,
         tolerance=0.0,
         details=checks,
-    )
-
-
-class _ConjectureSweep(_Sweep):
-    """Per-n state of the monotonicity-in-c exploration ("conjecture"): the
-    steps of the rising-factorial ratio x^(r+1,c)(1-x)^(n-r,c)/1^(n,c)
-    between neighbouring c of each grid point, for every integer
-    0 <= r <= n x - sqrt(n).
-
-    Slot (r, k) keeps the most negative step from c grid entry k to k + 1,
-    at the cell of its lower c."""
-
-    def __init__(self, n: int, c_grid_size: int):
-        super().__init__(n, c_grid_size, (n, c_grid_size - 1))
-
-    def block(self, cells, xb, rb, X, C, cum_a, cum_b, den) -> None:
-        n, cs = self.n, self.cs
-        for r in range(int(rb[-1]) + 1):
-            s = int(np.searchsorted(rb, r)) * cs  # points with rmax >= r: a suffix
-            ratio = (cum_a[r + 1, s:] * cum_b[n - r, s:] / den[s:]).reshape(-1, cs).T
-            # row k: the steps from c entry k to k + 1 of every point, in cell order
-            steps = np.subtract(ratio[1:], ratio[:-1], order="C")
-            self.checked += int(steps.size)
-            _first_min(self.worst[r], self.where[r], steps, cells[s:].reshape(-1, cs)[:, :-1].T)
-
-    def result(self, X: np.ndarray, C: np.ndarray) -> dict[str, Any]:
-        r, k = np.unravel_index(np.argmin(self.worst), self.worst.shape)
-        worst = float(self.worst[r, k])
-        witness = {}
-        if worst < math.inf:
-            cell = self.where[r, k]
-            witness = {"n": self.n, "x": float(X[cell]), "r": int(r),
-                       "c_lo": float(C[cell]), "c_hi": float(C[cell + 1])}
-        return {"worst": worst, "witness": witness, "checked": self.checked}
-
-
-# The upper end of the conjecture's c range.
-CONJECTURE_C_MAX = 0.2
-
-
-def _conjecture_one(args) -> dict[str, Any]:
-    """The conjecture sweep of one n over the grid points 0 < x < 1 with
-    some r <= n x - sqrt(n), each carrying c_grid_size values of c from the
-    admissibility boundary -min{x,1-x}/(n-1) up to CONJECTURE_C_MAX."""
-    n, grid, c_grid_size = args
-    xs = np.linspace(0.0, 1.0, grid.points)
-    xa = xs[(_rmax(n, xs) >= 0) & (np.minimum(xs, 1.0 - xs) > 0.0)]
-    cmin = CProfile("rn").c_at(xa, n)[:, None]
-    cgrid = cmin + np.linspace(0.0, 1.0, c_grid_size) * (CONJECTURE_C_MAX - cmin)
-    (result,) = _sweep_n(n, xa, cgrid, [_ConjectureSweep(n, c_grid_size)])
-    return result
-
-
-def conjecture_scan(
-    n_range: Iterable[int],
-    grid: GridSpec = GridSpec(points=2001),
-    c_grid_size: int = 21,
-    workers: int = 1,
-) -> VerificationReport:
-    """Explore whether the rising-factorial ratio is nondecreasing in c on
-    [-min{x,1-x}/(n-1), CONJECTURE_C_MAX] for every (n, x, r) with
-    r <= n x - sqrt(n).
-
-    A monotonicity violation is surfaced as a witness (``finding``), not a
-    failure; the conjecture is open.  A sweep that checks no cell is
-    rejected.
-    """
-    if c_grid_size < 2:
-        raise ValueError(f"c grid needs >= 2 points, got {c_grid_size}")
-    ns = _parse_n_range(n_range)
-    results = _map_over_n(_conjecture_one, [(n, grid, c_grid_size) for n in ns], workers)
-    checked = sum(res["checked"] for res in results)
-    if not checked:
-        raise ValueError(f"the conjecture sweep checks no cell for n in {ns[0]}..{ns[-1]}: no "
-                         "grid point 0 < x < 1 has r <= n x - sqrt(n); raise --points")
-    best = min(results, key=lambda res: res["worst"])
-    monotone = best["worst"] >= -LEMMA_TOL
-    return VerificationReport(
-        claim_id="monotone-in-c-conjecture",
-        passed=monotone,
-        worst_margin=best["worst"],
-        witness=best["witness"],
-        samples_checked=checked,
-        tolerance=LEMMA_TOL,
-        finding=not monotone,
-        details={"c_max": CONJECTURE_C_MAX},
     )

@@ -178,27 +178,19 @@ def cmd_verify(lemma, kozniewska, n6, conjecture, n_range, points, c_samples, ou
     ns = _parse_range(n_range)
     workers = _resolve_workers(workers)
     grid = GridSpec(points=points)
-    reports = []
-    failed = False
-    checks = [name for name, on in (("lemma", lemma), ("kozniewska", kozniewska)) if on]
-    if checks:
-        for rep in analysis.verify_sweep(ns, checks, grid, c_samples, workers):
-            reports.append(rep)
-            failed |= not rep.passed
-    if n6:
-        rep = analysis.n6_case_check()
-        reports.append(rep)
-        failed |= not rep.passed
-    if conjecture:
-        rep = analysis.conjecture_scan(ns, grid=grid, c_grid_size=c_samples, workers=workers)
-        reports.append(rep)  # exploratory: findings do not fail the run
+    checks = [name for name, on in
+              (("lemma", lemma), ("kozniewska", kozniewska), ("conjecture", conjecture)) if on]
+    reports = analysis.verify_sweep(ns, checks, grid, c_samples, workers) if checks else []
+    if n6:  # after the lemma and Kozniewska reports, before the conjecture's
+        reports.insert(len(reports) - conjecture, analysis.n6_case_check())
     payload = {
         "schema": 1,
         "kind": "verification-suite",
         "reports": [r.to_json_dict() for r in reports],
     }
     _emit(dump_json(payload), out)
-    if failed:
+    # exploratory reports (finding set) never fail the run
+    if any(rep.finding is None and not rep.passed for rep in reports):
         sys.exit(1)
 
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .numeric_core import binomial_row
 from .polya import pmf_matrix
-from .reports import GridSpec, ScanReport
+from .reports import GridSpec, ScanReport, _parse_n_range
 
 __all__ = [
     "FunctionSpec",
@@ -238,25 +238,25 @@ def modulus_of_continuity(f: FunctionSpec, delta: float, resolution: int = OMEGA
 
 
 def popoviciu_scan(
-    f: FunctionSpec, ns: Sequence[int], grid: GridSpec, operator: str = "rn"
+    f: FunctionSpec, ns: Iterable[int], grid: GridSpec, operator: str = "rn"
 ) -> ScanReport:
     """Per-n and global sup over the grid of |Op(f;x) - f(x)| / omega(n^{-1/2}),
     with omega on a grid of OMEGA_RESOLUTION + 1 points.
 
-    operator is "bernstein" or "rn".  f is sampled once on the modulus grid
+    operator is "bernstein" or "rn".  ns follows the n rule of every sweep
+    (distinct, sorted, 2..N_MAX).  f is sampled once on the modulus grid
     and once on the scan grid.  The global sup follows
     :meth:`ScanReport.from_per_n`.  Rejects (near-)constant f, whose ratio
     is 0/0.
     """
     if operator not in ("bernstein", "rn"):
         raise ValueError(f"unknown operator {operator!r}")
+    ns = _parse_n_range(ns)
     vals = _modulus_samples(f, OMEGA_RESOLUTION)
     xs = np.linspace(0.0, 1.0, grid.points)
     fx = np.asarray(f(xs))
     per_n = []
     for n in ns:
-        if n <= 1:
-            raise ValueError(f"ratio scan requires n > 1, got {n}")
         omega = _window_spread(vals, _modulus_window(n ** -0.5, OMEGA_RESOLUTION))
         if omega <= 0.0:
             raise ValueError(f"function {f.name!r} is constant on the grid; ratio undefined")

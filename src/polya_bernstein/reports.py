@@ -1,4 +1,5 @@
-"""Report types shared by the scanners and the CLI.
+"""Report types shared by the scanners and the CLI, and the one n rule of
+every sweep over n.
 
 ScanReport and VerificationReport serialize to a stable, versioned JSON
 schema (``schema: 1``); per-n curves export to CSV with header ``n,x,value``.
@@ -19,6 +20,23 @@ SCHEMA_VERSION = 1
 # How far inside each half-open piece a scan grid samples the one-sided
 # limit at a jump of the scanned function.
 BREAKPOINT_OFFSET = 1e-9
+# The largest n of any sweep over n: sup scans, ratio scans and verifiers.
+N_MAX = 200
+
+
+def _parse_n_range(n_range: Iterable[int]) -> list[int]:
+    """The distinct n of n_range in increasing order, all in 2..N_MAX.  An
+    ascending range is checked before its n are listed, so a huge one is
+    rejected in O(1) memory."""
+    ascending = isinstance(n_range, range) and n_range.step > 0
+    ns = n_range if ascending else sorted(set(int(n) for n in n_range))
+    if not ns:
+        raise ValueError("empty n range")
+    if ns[0] < 2:
+        raise ValueError(f"scans require n >= 2, got {ns[0]}")
+    if ns[-1] > N_MAX:
+        raise ValueError(f"scan range capped at n = {N_MAX}, got {ns[-1]}")
+    return list(ns)
 
 
 @dataclass(frozen=True)

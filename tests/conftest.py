@@ -32,6 +32,31 @@ def peak_rss():
     return run
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the sweeps' multiprocessing.Pool by one that maps in this
+    process; returns the list of process counts of the pools started."""
+    from polya_bernstein import analysis
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(a) for a in items]
+
+    monkeypatch.setattr(analysis.multiprocessing, "Pool", SerialPool)
+    return started
+
+
 def _pmf_oracle(n, x, c):
     with mpmath.workdps(50):
         x, c = mpmath.mpf(x), mpmath.mpf(c)

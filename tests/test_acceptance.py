@@ -127,7 +127,7 @@ def test_criterion_9_f_dominance():
 
 
 def test_criterion_10_conjecture_scan():
-    rep = analysis.conjecture_scan(range(2, 21), GridSpec(points=2001), c_grid_size=21)
+    (rep,) = analysis.verify_sweep(range(2, 21), ["conjecture"], GridSpec(points=2001), c_samples=21)
     ok = rep.samples_checked > 0 and rep.finding is not None
     if rep.finding:
         ok = ok and {"n", "x", "r"} <= set(rep.witness)

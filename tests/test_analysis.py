@@ -12,7 +12,6 @@ from polya_bernstein.analysis import (
     bracket_curve,
     bracket_jumps,
     breakpoints,
-    conjecture_scan,
     f_n_c,
     f_n_c_curve,
     n6_case_check,
@@ -221,7 +220,7 @@ class TestScanSup:
     def test_grid_is_bitwise_symmetric(self):
         grid = GridSpec(points=2001)
         for n in (3, 6, 10):
-            xs = analysis._sym_scan_grid(n, grid)
+            xs = analysis._sym_scan_grid(n, grid, breakpoints(n))
             mirror = 1.0 - xs
             assert np.all(np.isin(mirror, xs))
             vals = sikkema_curve(n, xs, "zero")
@@ -241,24 +240,9 @@ class TestScanSup:
         assert a == b
 
     @pytest.mark.parametrize("cpus, processes", [(None, None), (1, None), (2, 2), (8, 8)])
-    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus, processes):
-        started = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(a) for a in items]
-
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, serial_pool, cpus, processes):
+        started = serial_pool
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(analysis.multiprocessing, "Pool", SerialPool)
         assert analysis._map_over_n(abs, list(range(-20, 0)), workers=64) == list(range(20, 0, -1))
         assert started == ([] if processes is None else [processes])
 
@@ -347,7 +331,42 @@ class TestBracketSum:
             scan_sup([5], "zero", grid, bound="tail")
 
 
+def strict_witness_oracle(ns, points, c_samples):
+    """The lemma's strict witness by brute force: every failing strict
+    margin over whole-sweep arrays, visited in (n, r, cell) order, and the
+    first smallest kept."""
+    best = None
+    for n in ns:
+        xs = np.linspace(0.0, 1.0, points)
+        X = np.repeat(xs, c_samples)
+        C = (CProfile("rn").c_at(xs, n)[:, None] * np.linspace(1.0, 0.0, c_samples)).ravel()
+        cum_a, cum_b, den = rising_products(n, X, C)
+        rmax = np.minimum(np.floor(n * X - math.sqrt(n) + 1e-12).astype(int), n - 1)
+        for r in range(n):
+            rhs = X ** (r + 1) * (1.0 - X) ** (n - r)
+            margin = rhs - cum_a[r + 1] * cum_b[n - r] / den
+            strict = (C < analysis.STRICT_C_CUTOFF) & (rmax >= r)
+            fail = strict & (margin <= 0.0)
+            for cell in np.flatnonzero(strict & (rhs < np.finfo(float).tiny) & (X < 1.0)):
+                ratio = analysis._lemma_log_ratio(n, r, X[cell : cell + 1], C[cell : cell + 1])
+                fail[cell] = ratio[0] >= 0.0
+            for cell in np.flatnonzero(fail):
+                if best is None or margin[cell] < best[0]:
+                    best = (margin[cell], {"n": n, "x": float(X[cell]), "c": float(C[cell]), "r": r})
+    return {} if best is None else best[1]
+
+
 class TestLemmaVerifier:
+    @pytest.mark.parametrize("budget", [1, analysis.BLOCK_BYTES])
+    def test_strict_witness_is_the_first_smallest_failure(self, monkeypatch, budget):
+        # with every cell strict, the c = -0.0 cells, where both sides agree
+        # up to rounding, fail at many (n, r) with ties
+        monkeypatch.setattr(analysis, "STRICT_C_CUTOFF", 0.5)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", budget)
+        (rep,) = verify_sweep(range(2, 9), ["lemma"], GridSpec(points=201), 5)
+        assert not rep.passed and not rep.details["strict_ok"]
+        assert rep.details["strict_witness"] == strict_witness_oracle(range(2, 9), 201, 5)
+
     def test_small_sweep_passes(self):
         (rep,) = verify_sweep(range(2, 13), ["lemma"], GridSpec(points=501), c_samples=9)
         assert rep.passed
@@ -394,7 +413,7 @@ class TestSweepBlocks:
         return [
             verify_sweep(ns, ["lemma"], grid, 5)[0].to_json_dict(),
             verify_sweep(ns, ["kozniewska"], grid, 5)[0].to_json_dict(),
-            conjecture_scan(ns, grid, 5).to_json_dict(),
+            verify_sweep(ns, ["conjecture"], grid, 5)[0].to_json_dict(),
             # the n = 2 truncated-moment witness ties with two later cells
             verify_sweep([2], ["kozniewska"], GridSpec(points=201), 5)[0].to_json_dict(),
         ]
@@ -412,10 +431,24 @@ class TestSweepBlocks:
         both = verify_sweep(range(2, 9), ("kozniewska", "lemma"), self.GRID, 5)
         assert [r.to_json_dict() for r in both] == self.reports()[:2]
 
+    @pytest.mark.parametrize("budget", [1, analysis.BLOCK_BYTES])
+    def test_all_three_checks_match_single_checks(self, monkeypatch, budget):
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", budget)
+        fused = verify_sweep(range(2, 9), ["lemma", "kozniewska", "conjecture"], self.GRID, 5)
+        assert [r.to_json_dict() for r in fused] == self.reports()[:3]
+
     def test_rejects_unknown_checks(self):
-        for checks in ((), ("lemma", "conjecture")):
+        for checks in ((), ("lemma", "n6")):
             with pytest.raises(ValueError):
                 verify_sweep([2], checks)
+
+    def test_n_range_follows_the_scan_rule(self):
+        grid = GridSpec(points=201)
+        assert (verify_sweep([5, 3, 5, 4], ["lemma"], grid, 3)
+                == verify_sweep(range(3, 6), ["lemma"], grid, 3))
+        for ns, complaint in (([1, 3], "n >= 2"), (range(2, 4_000_001), "capped at n = 200")):
+            with pytest.raises(ValueError, match=complaint):
+                verify_sweep(ns, ["conjecture"], grid, 3)
 
 
 class TestFirstMin:
@@ -489,7 +522,7 @@ class TestN6Case:
 
 class TestConjectureScan:
     def test_produces_monotone_report_on_small_sweep(self):
-        rep = conjecture_scan(range(2, 9), GridSpec(points=501), c_grid_size=9)
+        (rep,) = verify_sweep(range(2, 9), ["conjecture"], GridSpec(points=501), c_samples=9)
         assert rep.finding is not None
         assert rep.samples_checked > 0
         if rep.finding:
@@ -513,7 +546,7 @@ class TestConjectureScan:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_report_is_pinned(self):
-        rep = conjecture_scan(range(2, 21), GridSpec(points=2001), 21)
+        (rep,) = verify_sweep(range(2, 21), ["conjecture"], GridSpec(points=2001), 21)
         assert rep.worst_margin == 1.1619716364122925e-25
         assert rep.witness == {
             "n": 20,
@@ -528,10 +561,13 @@ class TestConjectureScan:
     def test_rejects_a_sweep_that_checks_nothing(self):
         for ns, points in (([2], 3), (range(2, 4), 2)):
             with pytest.raises(ValueError, match="--points"):
-                conjecture_scan(ns, GridSpec(points=points), 21)
+                verify_sweep(ns, ["conjecture"], GridSpec(points=points), 21)
+        # one c value per point has no step to check
+        with pytest.raises(ValueError, match="c grid needs >= 2 points, got 1"):
+            verify_sweep([2], ["conjecture"], GridSpec(points=501), 1)
 
     def test_skips_degenerate_endpoints(self):
-        rep = conjecture_scan([2], GridSpec(points=1001), c_grid_size=5)
+        (rep,) = verify_sweep([2], ["conjecture"], GridSpec(points=1001), c_samples=5)
         # witnesses, if any, never sit at x in {0, 1}
         if rep.witness:
             assert 0.0 < rep.witness["x"] < 1.0
@@ -576,7 +612,7 @@ class TestReports:
             ScanReport.from_per_n([], grid, {})
 
     def test_dump_json_rejects_non_finite_floats(self):
-        rep = conjecture_scan([2], GridSpec(points=1001), 5)
+        (rep,) = verify_sweep([2], ["conjecture"], GridSpec(points=1001), 5)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 dump_json(dataclasses.replace(rep, worst_margin=bad))

@@ -216,6 +216,28 @@ class TestVerify:
         payload = json.loads(res.stdout)
         assert "finding" in payload["reports"][0]
 
+    def test_one_pool_for_every_sweep_check(self, monkeypatch, serial_pool, capsys):
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        main(["verify", "--lemma", "--conjecture", "--n", "2..6", "--points", "201",
+              "--c-samples", "3", "--workers", "2"])
+        assert serial_pool == [2]
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["claim_id"] for r in reports] == [
+            "rising-factorial-inequality", "monotone-in-c-conjecture"]
+
+    def test_only_a_failed_check_exits_1(self, monkeypatch, capsys):
+        # a negative tolerance fails the lemma and turns the conjecture into
+        # a finding, which is exploratory and does not fail the run
+        monkeypatch.setattr(analysis, "LEMMA_TOL", -1.0)
+        args = ["--n", "2..6", "--points", "201", "--c-samples", "3", "--workers", "1"]
+        main(["verify", "--conjecture", "--n6", *args])
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [(r["claim_id"], r["passed"], r.get("finding")) for r in reports] == [
+            ("n6-case", True, None), ("monotone-in-c-conjecture", False, True)]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--lemma", "--conjecture", *args])
+        assert exc.value.code == 1
+
     def test_requires_selection(self):
         res = run_main(["verify"])
         assert res.returncode == 2
@@ -406,10 +428,17 @@ class TestResources:
         assert peak_mib < 150
         assert blocked.read_bytes() == whole.read_bytes()
 
-    def test_huge_n_range_is_rejected_before_it_is_built(self, peak_rss):
-        """The n <= 200 cap is checked on the range's bounds; listing
-        2..4000000 first took 374 MiB."""
-        args = ["scan", "--sikkema", "--n", "2..4000000", "--workers", "1"]
+    @pytest.mark.parametrize("args", [
+        ["scan", "--sikkema", "--n", "2..4000000", "--workers", "1"],
+        ["verify", "--lemma", "--n", "2..4000000", "--workers", "1"],
+        ["scan", "--popoviciu", "--fn", "sqrt", "--op", "rn", "--n", "2..1000000000",
+         "--points", "1001"],
+    ], ids=["sikkema", "verify", "popoviciu"])
+    def test_huge_n_range_is_rejected_before_it_is_built(self, peak_rss, args):
+        """The n <= 200 cap of every sweep is checked on the range's bounds:
+        listing 2..4000000 first took 374 MiB in the Sikkema scan and 520
+        MiB in the verifier, and the Popoviciu scan computed for 15 s before
+        it overflowed."""
         res = run_main(args)
         assert res.returncode == 2
         err = json.loads(res.stderr)

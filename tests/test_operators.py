@@ -361,10 +361,18 @@ class TestPopoviciuScan:
         assert rep.per_n == ((2, 0.5, 0.1), (3, 0.75, 0.2), (4, 0.75, 0.3))
         assert (rep.argmax_n, rep.sup, rep.argmax_x) == (3, 0.75, 0.2)
 
+    def test_unsorted_and_duplicate_n_give_sorted_rows(self):
+        f = builtin_function("sqrt")
+        rep = popoviciu_scan(f, [40, 2, 13, 2, 40], self.GRID)
+        assert rep == popoviciu_scan(f, [2, 13, 40], self.GRID)
+        assert [row[0] for row in rep.per_n] == [2, 13, 40]
+
     def test_rejects_bad_inputs(self):
         f = builtin_function("sqrt")
-        with pytest.raises(ValueError, match="n > 1"):
+        with pytest.raises(ValueError, match="n >= 2"):
             popoviciu_scan(f, [3, 1], self.GRID)
+        with pytest.raises(ValueError, match="capped at n = 200"):
+            popoviciu_scan(f, range(2, 10**9), self.GRID)
         with pytest.raises(ValueError, match="operator"):
             popoviciu_scan(f, [3], self.GRID, "polya")
         with pytest.raises(ValueError, match="empty"):
