@@ -72,7 +72,7 @@ def cli() -> None:
               help="sampled-table function, CSV with header x,fx")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--x", "x", type=float, default=None, help="single evaluation point")
-@click.option("--c", "c", type=float, default=None, help="constant profile c (op=polya)")
+@click.option("--c", "c", type=float, default=None, help="constant profile c (op=polya, required)")
 @click.option("--grid-points", type=click.IntRange(min=2), default=None,
               help="evaluate on a grid instead of --x")
 @click.option("--out", "out", type=click.Path(), default=None, help="CSV output for grid mode")
@@ -81,12 +81,10 @@ def cmd_eval(op, fn, fn_csv, n, x, c, grid_points, out):
     f = _function(fn, fn_csv)
     if c is not None and op != "polya":
         raise click.UsageError("--c applies to --op polya only")
-    if op == "polya":
-        profile = operators.CProfile("constant", c) if c is not None else operators.CProfile("rn")
-    elif op == "rn":
-        profile = operators.CProfile("rn")
-    else:
-        profile = None
+    if c is None and op == "polya":
+        raise click.UsageError("--op polya requires --c")
+    kind = {"bernstein": None, "rn": "rn", "polya": "constant"}[op]
+    profile = operators.CProfile(kind, 0.0 if c is None else c) if kind else None
     if (x is None) == (grid_points is None):
         raise click.UsageError("provide exactly one of --x or --grid-points")
     if grid_points is not None and out is None:

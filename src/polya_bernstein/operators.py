@@ -132,6 +132,8 @@ class CProfile:
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "rn", "constant"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"profile value must be finite, got {self.value}")
         if self.kind == "constant" and self.value < 0:
             raise ValueError(
                 f"constant profile c={self.value} is inadmissible near the endpoints; "

@@ -38,10 +38,11 @@ __all__ = [
 # floating evaluation of c = -min{a,b}/(n-1) lands a few ulps below.
 BOUNDARY_SLACK = 1e-14
 
-# Sweeps this wide accumulate their rising products row by row, narrower
-# ones in one multiply.accumulate per array.  On 2 vCPUs (numpy 2.4) the two
-# break even near 384 columns at n = 20 and near 450 at n = 200; at n = 200
-# one column takes 3 us against 0.5 ms, 4096 columns 6.7 ms against 1.4 ms.
+# Sweeps this wide accumulate their rising products and partial sums row by
+# row, narrower ones in one accumulate call per array.  On 2 vCPUs (numpy
+# 2.4) the two break even near 384 columns at n = 20 and near 450 at
+# n = 200; at n = 200 one column takes 3 us against 0.5 ms, 4096 columns
+# 6.7 ms against 1.4 ms.
 ROW_LOOP_MIN_COLUMNS = 384
 
 _SUM_TOL = 1e-12
@@ -149,16 +150,20 @@ def rising_products(n: int, x: np.ndarray, c: np.ndarray, scaled: bool = False):
         cum_b[1:] *= scale
         fd *= scale
     den = np.prod(fd, axis=0)
-    # The same products in the same order either way: one call that strides
-    # across the columns, or n contiguous calls.
-    if x.size < ROW_LOOP_MIN_COLUMNS:
-        np.multiply.accumulate(cum_a, axis=0, out=cum_a)
-        np.multiply.accumulate(cum_b, axis=0, out=cum_b)
-    else:
-        for i in range(2, n + 1):
-            np.multiply(cum_a[i - 1], cum_a[i], out=cum_a[i])
-            np.multiply(cum_b[i - 1], cum_b[i], out=cum_b[i])
+    _accumulate_rows(np.multiply, cum_a)
+    _accumulate_rows(np.multiply, cum_b)
     return cum_a, cum_b, den
+
+
+def _accumulate_rows(ufunc: np.ufunc, a: np.ndarray) -> None:
+    """ufunc.accumulate(a, axis=0, out=a): the same operations in the same
+    order either way, as one call that strides across the columns, or, from
+    ROW_LOOP_MIN_COLUMNS columns on, one contiguous call per row."""
+    if a.shape[1] < ROW_LOOP_MIN_COLUMNS:
+        ufunc.accumulate(a, axis=0, out=a)
+    else:
+        for i in range(1, a.shape[0]):
+            ufunc(a[i - 1], a[i], out=a[i])
 
 
 def _pmf_from_products(cum_a: np.ndarray, cum_b: np.ndarray, den: np.ndarray) -> np.ndarray:

@@ -257,6 +257,34 @@ class TestScanSup:
             sizes.add(xs.size % 2)
         assert sizes == ({0, 1} if points == 1000 else {1})
 
+    @pytest.mark.parametrize("c_mode", ["zero", "rn"])
+    @pytest.mark.parametrize("points", [1000, 1001])
+    def test_mirrored_bracket_sum_matches_its_curve(self, c_mode, points):
+        # the pmf columns at x and 1 - x agree to rounding, not bit for bit
+        for n in (2, 3, 6, 7, 36, 64, 169, 200):
+            xs, vals = scan_curve(n, c_mode, GridSpec(points=points), "bracket")
+            np.testing.assert_allclose(vals, bracket_curve(n, xs, c_mode), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("points", [1000, 1001, 2001])
+    def test_grid_without_jumps_is_the_base_grid_size(self, points):
+        for n in (2, 6, 200):
+            xs = analysis._sym_scan_grid(n, GridSpec(points=points), [])
+            assert xs.size == points
+            np.testing.assert_array_equal(xs[::-1], 1.0 - xs)
+
+    @pytest.mark.parametrize("bound", ["majorant", "bracket"])
+    @pytest.mark.parametrize("c_mode", ["zero", "rn"])
+    def test_every_argmax_lies_in_the_lower_half(self, bound, c_mode):
+        # the scanned values are mirrored, so the first maximum is at x <= 1/2
+        rep = scan_sup(range(2, 41), c_mode, GridSpec(points=1001), bound=bound)
+        assert all(x <= 0.5 for _, _, x in rep.per_n)
+
+    def test_bracket_argmax_of_n70_is_mirrored(self):
+        # a grid that keeps both a base point and the ulp-off fold of its
+        # mirror read this argmax above 1/2, at 0.50524
+        rep = scan_sup([70], "zero", GridSpec(points=2001))
+        assert rep.argmax_x <= 0.5
+
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             scan_sup([1], "zero", GridSpec(points=2001))
@@ -510,7 +538,7 @@ class TestKozniewskaVerifier:
 
 class TestN6Case:
     def test_all_bounds_hold(self):
-        rep = n6_case_check(points_per_interval=20001)
+        rep = n6_case_check()
         assert rep.passed
         assert rep.worst_margin >= 0.0
         details = rep.details
@@ -518,6 +546,15 @@ class TestN6Case:
         assert details["vanishing_piece_sup"]["value"] <= 1e-14
         assert details["global_sup"]["value"] <= 0.014271 + 1e-6
         assert details["sikkema_sup"]["value"] <= 1.0699134 + 1e-6
+
+    def test_values_are_pinned(self):
+        # a change of grid or kernel that moves any of the four sups shows here
+        rep = n6_case_check()
+        values = [rep.details[name]["value"] for name in
+                  ("interval_sup", "vanishing_piece_sup", "global_sup", "sikkema_sup")]
+        assert values == [0.003853705674662501, 0.0, 0.00661499387287807, 1.0164031030885874]
+        assert rep.samples_checked == 2 * analysis._sym_scan_grid(
+            6, GridSpec(points=analysis.N6_GRID_POINTS), breakpoints(6)).size
 
 
 class TestConjectureScan:

@@ -1,10 +1,14 @@
 import json
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import polya_bernstein
 from polya_bernstein import analysis, operators
 from polya_bernstein.cli import cli, main
 from polya_bernstein.reports import GridSpec
@@ -329,6 +333,7 @@ class TestFailurePaths:
             (["eval", "--op", "rn", "--grid-points", "1", "--out", "{tmp}"], "--grid-points"),
             (["compare", "--points", "0", "--out", "{tmp}"], "--points"),
             (["compare", "--points", "1", "--out", "{tmp}"], "--points"),
+            (["eval", "--op", "polya", "--x", "0.3"], "--c"),
         ],
     )
     def test_eval_and_compare_option_checks(self, tmp_path, capsys, args, complaint):
@@ -364,6 +369,15 @@ class TestFailurePaths:
         assert err["error"] == "usage" and complaint in err["message"]
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_non_finite_c_is_rejected(self, c):
+        res = run_main(["eval", "--op", "polya", "--fn", "square", "--n", "3", "--x", "0.4",
+                        "--c", c])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        err = json.loads(res.stderr)  # one JSON object, no warnings ahead of it
+        assert err["kind"] == "error" and "finite" in err["message"]
 
     def test_grid_mode_needs_out_before_computing(self, monkeypatch, capsys):
         def boom(*args):
@@ -457,3 +471,22 @@ class TestResources:
             "--c-samples", "21", "--workers", "1", "--out", str(tmp_path / "v.json"))
         assert exit_code == 0
         assert peak_mib < 150
+
+
+def readme_cli_examples():
+    """The pbop lines of the sh block under the README's "CLI examples"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("pbop ")]
+
+
+def test_readme_cli_examples_run(tmp_path):
+    examples = readme_cli_examples()
+    assert len(examples) >= 10
+    src = str(Path(polya_bernstein.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for line in examples:
+        args = [sys.executable, "-m", "polya_bernstein.cli", *shlex.split(line)[1:]]
+        res = subprocess.run(args, capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert res.returncode == 0, (line, res.stderr)
