@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from functools import partial
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -56,7 +57,8 @@ from .polya import (
     validate,
     validate_sweep,
 )
-from .reports import BREAKPOINT_OFFSET, GridSpec, ScanReport, VerificationReport, _parse_n_range
+from .reports import (BREAKPOINT_OFFSET, GridSpec, ScanReport, VerificationReport, _check_cells,
+                      _parse_n_range)
 
 __all__ = [
     "f_n_c",
@@ -258,21 +260,16 @@ def scan_curve(
     return xs, np.concatenate([upper[::-1][:h], upper])
 
 
-def _scan_sup_one(args) -> tuple[int, float, float]:
-    n, c_mode, grid, bound = args
-    xs, vals = scan_curve(n, c_mode, grid, bound)
-    idx = int(np.argmax(vals))  # first occurrence: ties break toward smaller x
-    return n, float(vals[idx]), float(xs[idx])
-
-
-def _map_over_n(fn, args_list: Sequence, workers: int = 1) -> list:
-    """Deterministic per-n map; worker count never changes the reduction order.
-    The pool is capped at one process per CPU and per item."""
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(args_list) > 1:
-        with multiprocessing.Pool(min(workers, len(args_list))) as pool:
-            return pool.map(fn, args_list)
-    return [fn(a) for a in args_list]
+def _map_over_n(fn, ns: Sequence[int], workers: int = 1):
+    """fn(n) for each n, as a lazy stream in n order: nothing runs until the
+    first result is drawn.  The pool is capped at one process per CPU and
+    per n, and hands its results over in the chunks pool.map would use."""
+    workers = min(workers, os.cpu_count() or 1, len(ns))
+    if workers < 2:
+        yield from map(fn, ns)
+        return
+    with multiprocessing.Pool(workers) as pool:
+        yield from pool.imap(fn, ns, math.ceil(len(ns) / (4 * workers)))
 
 
 def scan_sup(
@@ -281,6 +278,7 @@ def scan_sup(
     grid: GridSpec = GridSpec(),
     workers: int = 1,
     bound: str | None = None,
+    curves_csv: str | None = None,
 ) -> ScanReport:
     """Per-n and global sup of a Sikkema-style quantity.
 
@@ -290,8 +288,8 @@ def scan_sup(
     constant, and the majorant for c_mode "rn", the paper's bound for the
     urn operator.  The report records it as ``meta["bound"]``.
 
-    The grid is refined one-sided at the quantity's jumps; the global sup
-    follows :meth:`ScanReport.from_per_n`.
+    Each n's :func:`scan_curve` is computed once, and the stream of curves
+    goes to :meth:`ScanReport.from_curves` and, if given, to curves_csv.
     """
     ns = _parse_n_range(n_range)
     if grid.points < 1000:
@@ -301,9 +299,9 @@ def scan_sup(
         bound = "bracket" if c_mode == "zero" else "majorant"
     elif bound not in BOUNDS:
         raise ValueError(f"unknown bound {bound!r}; use one of {', '.join(BOUNDS)}")
-    per_n = _map_over_n(_scan_sup_one, [(n, c_mode, grid, bound) for n in ns], workers)
+    curves = _map_over_n(partial(scan_curve, c_mode=c_mode, grid=grid, bound=bound), ns, workers)
     meta = {"c_mode": c_mode, "n_range": [ns[0], ns[-1]], "bound": bound}
-    return ScanReport.from_per_n(per_n, grid, meta)
+    return ScanReport.from_curves(zip(ns, curves), grid, meta, curves_csv)
 
 
 def _rmax(n: int, xs: np.ndarray) -> np.ndarray:
@@ -594,10 +592,9 @@ class _ConjectureSweep(_Sweep):
 SWEEPS = {"lemma": _LemmaSweep, "kozniewska": _KozniewskaSweep, "conjecture": _ConjectureSweep}
 
 
-def _verify_sweep_one(args) -> dict[str, dict[str, Any]]:
+def _verify_sweep_one(checks, grid: GridSpec, c_samples: int, n: int) -> dict[str, dict[str, Any]]:
     """The requested checks of one n: one engine pass per distinct cell
     layout, shared by every check that declares it."""
-    n, grid, c_samples, checks = args
     xs = np.linspace(0.0, 1.0, grid.points)
     sweeps = {name: SWEEPS[name](n, c_samples) for name in checks}
     results = {}
@@ -625,8 +622,9 @@ def verify_sweep(
     if not checks or not set(checks) <= set(SWEEPS):
         raise ValueError(f"checks must be a nonempty subset of {', '.join(SWEEPS)}")
     ns = _parse_n_range(n_range)
+    _check_cells(grid.points * c_samples, "a verifier sweep")
     todo = tuple(name for name in SWEEPS if name in checks)
-    results = _map_over_n(_verify_sweep_one, [(n, grid, c_samples, todo) for n in ns], workers)
+    results = list(_map_over_n(partial(_verify_sweep_one, todo, grid, c_samples), ns, workers))
     return [SWEEPS[name].report([res[name] for res in results]) for name in todo]
 
 

@@ -123,7 +123,8 @@ def cmd_eval(op, fn, fn_csv, n, x, c, grid_points, out):
 @click.option("--points", type=int, default=DEFAULT_POINTS, show_default=True)
 @click.option("--out", "out", type=click.Path(), default=None, help="JSON report path (default stdout)")
 @click.option("--curves-csv", type=click.Path(), default=None, help="per-n curve export (n,x,value)")
-@click.option("--workers", type=int, default=None, help="parallel workers (env PB_WORKERS)")
+@click.option("--workers", type=int, default=None,
+              help="parallel workers of --sikkema scans (env PB_WORKERS); --popoviciu runs in-process")
 def cmd_scan(mode, n_range, c_mode, bound, fn, fn_csv, op, points, out, curves_csv, workers):
     """Sup scans: --sikkema for the Sikkema-style bound (--bound), --popoviciu
     for operator error/modulus ratios of a test function."""
@@ -143,15 +144,7 @@ def cmd_scan(mode, n_range, c_mode, bound, fn, fn_csv, op, points, out, curves_c
     workers = _resolve_workers(workers)
     grid = GridSpec(points=points)
     if mode == "sikkema":
-        c_mode = c_mode or "zero"
-        report = analysis.scan_sup(ns, c_mode=c_mode, grid=grid, workers=workers, bound=bound)
-        if curves_csv is not None:
-            def rows():
-                for n in ns:
-                    xs, vals = analysis.scan_curve(n, c_mode, grid, report.meta["bound"])
-                    for xi, vi in zip(xs.tolist(), vals.tolist()):
-                        yield (n, xi, vi)
-            write_curves_csv(curves_csv, rows())
+        report = analysis.scan_sup(ns, c_mode or "zero", grid, workers, bound, curves_csv)
     else:
         f = _function(fn, fn_csv)
         report = operators.popoviciu_scan(f, ns, grid, operator=op or "rn")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .numeric_core import binomial_row
 from .polya import pmf_matrix
-from .reports import GridSpec, ScanReport, _parse_n_range
+from .reports import GridSpec, ScanReport, _check_cells, _parse_n_range
 
 __all__ = [
     "FunctionSpec",
@@ -164,6 +164,7 @@ def bernstein_curve(f: FunctionSpec, n: int, xs: np.ndarray) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     xs = np.asarray(xs, dtype=float)
+    _check_cells((n + 1) * xs.size, "a Bernstein curve")
     k = np.arange(n + 1, dtype=float)
     weights = binomial_row(n)[:, None] * xs[None, :] ** k[:, None] * (1.0 - xs)[None, :] ** (n - k)[:, None]
     return np.asarray(f(k / n)) @ weights
@@ -182,6 +183,7 @@ def operator_curve(f: FunctionSpec, n: int, xs: np.ndarray, profile: CProfile) -
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     xs = np.asarray(xs, dtype=float)
+    _check_cells((n + 1) * xs.size, "an operator curve")
     cs = np.asarray(profile.c_at(xs, n), dtype=float)
     probs = pmf_matrix(n, xs, cs)
     k = np.arange(n + 1, dtype=float)
@@ -247,28 +249,25 @@ def popoviciu_scan(
 
     operator is "bernstein" or "rn".  ns follows the n rule of every sweep
     (distinct, sorted, 2..N_MAX).  f is sampled once on the modulus grid
-    and once on the scan grid.  The global sup follows
-    :meth:`ScanReport.from_per_n`.  Rejects (near-)constant f, whose ratio
-    is 0/0.
+    and once on the scan grid, and each n's ratio curve feeds
+    :meth:`ScanReport.from_curves`, the reduction of every scan.  Rejects
+    (near-)constant f, whose ratio is 0/0.
     """
     if operator not in ("bernstein", "rn"):
         raise ValueError(f"unknown operator {operator!r}")
     ns = _parse_n_range(ns)
+    _check_cells((ns[-1] + 1) * grid.points, "an operator curve")
     vals = _modulus_samples(f, OMEGA_RESOLUTION)
     xs = np.linspace(0.0, 1.0, grid.points)
     fx = np.asarray(f(xs))
-    per_n = []
-    for n in ns:
+
+    def ratios(n: int):
         omega = _window_spread(vals, _modulus_window(n ** -0.5, OMEGA_RESOLUTION))
         if omega <= 0.0:
             raise ValueError(f"function {f.name!r} is constant on the grid; ratio undefined")
-        if operator == "bernstein":
-            curve = bernstein_curve(f, n, xs)
-        else:
-            curve = operator_curve(f, n, xs, CProfile("rn"))
-        ratios = np.abs(curve - fx) / omega
-        idx = int(np.argmax(ratios))  # first occurrence: ties break toward smaller x
-        per_n.append((n, float(ratios[idx]), float(xs[idx])))
-    return ScanReport.from_per_n(
-        per_n, grid, {"operator": operator, "function": f.name, "kind": "popoviciu-ratio"}
-    )
+        curve = (bernstein_curve(f, n, xs) if operator == "bernstein"
+                 else operator_curve(f, n, xs, CProfile("rn")))
+        return xs, np.abs(curve - fx) / omega
+
+    meta = {"operator": operator, "function": f.name, "kind": "popoviciu-ratio"}
+    return ScanReport.from_curves(zip(ns, map(ratios, ns)), grid, meta)

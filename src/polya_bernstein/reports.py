@@ -1,5 +1,5 @@
-"""Report types shared by the scanners and the CLI, and the one n rule of
-every sweep over n.
+"""Report types shared by the scanners and the CLI, the one n rule of
+every sweep over n, and the one reduction of every scan's per-n curves.
 
 ScanReport and VerificationReport serialize to a stable, versioned JSON
 schema (``schema: 1``); per-n curves export to CSV with header ``n,x,value``.
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Iterable, Sequence
 
 __all__ = ["GridSpec", "ScanReport", "VerificationReport", "dump_json", "write_curves_csv"]
@@ -22,6 +24,15 @@ SCHEMA_VERSION = 1
 BREAKPOINT_OFFSET = 1e-9
 # The largest n of any sweep over n: sup scans, ratio scans and verifiers.
 N_MAX = 200
+# The most cells one n may hold: the (n+1) x grid points of an operator
+# curve, about 25 bytes each, or the grid points x c-samples of a verifier
+# sweep, about 17 bytes each.  A larger request is refused before it is built.
+CELLS_MAX = 4_000_000
+
+
+def _check_cells(cells: int, what: str) -> None:
+    if cells > CELLS_MAX:
+        raise ValueError(f"{what} needs {cells} cells per n, capped at {CELLS_MAX}")
 
 
 def _parse_n_range(n_range: Iterable[int]) -> list[int]:
@@ -74,12 +85,26 @@ class ScanReport:
     meta: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
-    def from_per_n(
-        cls, per_n: Sequence[tuple[int, float, float]], grid: GridSpec, meta: dict[str, Any]
-    ) -> ScanReport:
-        """The report of a scan over n from its (n, sup_n, argmax_x_n) rows in
-        n order.  The global sup is the first largest per-n sup, so ties break
-        lexicographically on (n, x) when each row keeps its first maximiser."""
+    def from_curves(cls, curves: Iterable[tuple[int, tuple[Any, Any]]], grid: GridSpec,
+                    meta: dict[str, Any], curves_csv: str | None = None) -> ScanReport:
+        """The report of a scan from its stream of per-n curves (n, (xs,
+        values)) in n order.  Each n keeps its first maximiser (ties go to the
+        smaller x); the global sup is the first largest per-n sup.  With
+        curves_csv, opened before the first curve is drawn, each curve is
+        written there as n,x,value rows as it arrives."""
+        per_n = []
+
+        def rows():
+            for n, (xs, values) in curves:
+                i = int(values.argmax())
+                per_n.append((n, float(values[i]), float(xs[i])))
+                if curves_csv is not None:
+                    yield from zip(repeat(n), xs.tolist(), values.tolist())
+
+        if curves_csv is None:
+            deque(rows(), maxlen=0)  # runs the reduction; there are no rows
+        else:
+            write_curves_csv(curves_csv, rows())
         if not per_n:
             raise ValueError("empty n range")
         n, sup, x = max(per_n, key=lambda t: t[1])
@@ -140,5 +165,4 @@ def write_curves_csv(path: str, rows: Iterable[Sequence[Any]], header: Sequence[
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)  # csv writes a float as its repr

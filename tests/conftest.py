@@ -34,8 +34,9 @@ def peak_rss():
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """Replace the sweeps' multiprocessing.Pool by one that maps in this
-    process; returns the list of process counts of the pools started."""
+    """Replace the sweeps' multiprocessing.Pool by one whose imap is a lazy
+    map in this process; returns the list of process counts of the pools
+    started."""
     from polya_bernstein import analysis
 
     started = []
@@ -50,8 +51,8 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(a) for a in items]
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
 
     monkeypatch.setattr(analysis.multiprocessing, "Pool", SerialPool)
     return started

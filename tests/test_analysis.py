@@ -243,7 +243,9 @@ class TestScanSup:
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, serial_pool, cpus, processes):
         started = serial_pool
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
-        assert analysis._map_over_n(abs, list(range(-20, 0)), workers=64) == list(range(20, 0, -1))
+        stream = analysis._map_over_n(abs, list(range(-20, 0)), workers=64)
+        assert started == []  # lazy: no pool before the first result is drawn
+        assert list(stream) == list(range(20, 0, -1))
         assert started == ([] if processes is None else [processes])
 
     @pytest.mark.parametrize("c_mode", ["zero", "rn"])
@@ -630,23 +632,45 @@ class TestReports:
 
     def test_curves_csv(self, tmp_path):
         path = tmp_path / "curves.csv"
-        write_curves_csv(str(path), [(2, 0.5, 1.0), (2, 0.75, 1.25)])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n,x,value"
-        assert lines[1] == "2,0.5,1.0"
+        rows = [(2, 0.5, 1.0), (2, 0.75, 1.25),
+                (np.int64(3), np.float64(0.1), 5e-324), (3, 0.30000000000000004, np.float64(1.0))]
+        write_curves_csv(str(path), rows)
+        assert path.read_text().splitlines() == [  # numpy scalars as plain numbers
+            "n,x,value", "2,0.5,1.0", "2,0.75,1.25", "3,0.1,5e-324", "3,0.30000000000000004,1.0"]
 
     def test_gridspec_validation(self):
         with pytest.raises(ValueError):
             GridSpec(points=1)
 
-    def test_from_per_n_keeps_the_first_largest_row(self):
+    def test_from_curves_keeps_the_first_maximiser_and_the_first_largest_sup(self):
         grid = GridSpec(points=1001)
-        rows = [(2, 0.5, 0.1), (3, 0.75, 0.2), (4, 0.75, 0.3), (5, 0.25, 0.4)]
-        rep = ScanReport.from_per_n(rows, grid, {"kind": "test"})
+        xs = np.array([0.1, 0.2, 0.3])
+        curves = [
+            (2, (xs, np.array([0.5, 0.2, 0.5]))),    # a tie inside n: the smaller x
+            (3, (xs, np.array([0.1, 0.75, 0.75]))),  # the first largest sup
+            (4, (xs, np.array([0.0, 0.0, 0.75]))),   # ties n = 3's sup: n = 3 is kept
+            (5, (xs, np.array([0.25, 0.1, 0.25]))),
+        ]
+        rep = ScanReport.from_curves(iter(curves), grid, {"kind": "test"})
+        assert rep.per_n == ((2, 0.5, 0.1), (3, 0.75, 0.2), (4, 0.75, 0.3), (5, 0.25, 0.1))
         assert (rep.argmax_n, rep.sup, rep.argmax_x) == (3, 0.75, 0.2)
-        assert rep.per_n == tuple(rows) and rep.grid == grid and rep.meta == {"kind": "test"}
+        assert rep.grid == grid and rep.meta == {"kind": "test"}
         with pytest.raises(ValueError, match="empty n range"):
-            ScanReport.from_per_n([], grid, {})
+            ScanReport.from_curves(iter([]), grid, {})
+
+    def test_from_curves_writes_each_curve_as_it_arrives(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        xs = np.array([0.0, 0.5, 1.0])
+
+        def curves():
+            assert path.exists()  # opened before the first curve is drawn
+            for n in (2, 3):
+                yield n, (xs, xs * n)
+
+        rep = ScanReport.from_curves(curves(), GridSpec(points=1001), {}, str(path))
+        assert rep.per_n == ((2, 2.0, 1.0), (3, 3.0, 1.0))
+        assert path.read_text().splitlines() == [
+            "n,x,value", "2,0.0,0.0", "2,0.5,1.0", "2,1.0,2.0", "3,0.0,0.0", "3,0.5,1.5", "3,1.0,3.0"]
 
     def test_dump_json_rejects_non_finite_floats(self):
         (rep,) = verify_sweep([2], ["conjecture"], GridSpec(points=1001), 5)

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import polya_bernstein
-from polya_bernstein import analysis, operators
+from polya_bernstein import analysis, operators, reports
 from polya_bernstein.cli import cli, main
 from polya_bernstein.reports import GridSpec
 
@@ -147,6 +147,19 @@ class TestScan:
         lines = curves.read_text().splitlines()
         assert lines[0] == "n,x,value"
         assert all(line.startswith("4,") for line in lines[1:])
+
+    def test_curves_csv_computes_each_curve_once(self, monkeypatch, tmp_path):
+        calls = []
+        scan_curve = analysis.scan_curve
+
+        def counted(n, *args, **kwargs):
+            calls.append(n)
+            return scan_curve(n, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "scan_curve", counted)
+        main(["scan", "--sikkema", "--n", "2..5", "--points", "1001", "--workers", "1",
+              "--out", str(tmp_path / "scan.json"), "--curves-csv", str(tmp_path / "curves.csv")])
+        assert calls == [2, 3, 4, 5]
 
     def test_sikkema_zero_majorant_bound(self, runner, tmp_path):
         out = tmp_path / "scan.json"
@@ -390,6 +403,22 @@ class TestFailurePaths:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "usage" and "--out" in err["message"]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_curves_csv_into_a_missing_directory_fails_before_any_curve(
+            self, monkeypatch, serial_pool, capsys, tmp_path, workers):
+        def boom(*args, **kwargs):
+            raise RuntimeError("curve computed")
+
+        monkeypatch.setattr(analysis, "scan_curve", boom)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--sikkema", "--n", "2..5", "--points", "1001", "--workers", workers,
+                  "--curves-csv", str(tmp_path / "missing" / "curves.csv")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "FileNotFoundError"
+        assert captured.out == "" and serial_pool == []
+
     def test_unexpected_exception_exits_2_with_json(self, monkeypatch, capsys):
         def boom():
             raise RuntimeError("unexpected")
@@ -410,6 +439,18 @@ class TestDeterminism:
         b = run_main([*args, "--workers", "3", "--out", str(tmp_path / "b.json")])
         assert a.returncode == b.returncode == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("c_mode", ["zero", "rn"])
+    def test_identical_json_and_curves_across_worker_counts(self, tmp_path, c_mode):
+        args = ["scan", "--sikkema", "--n", "2..12", "--points", "1001", "--c-mode", c_mode]
+        outputs = []
+        for workers in ("1", "2"):
+            out, curves = tmp_path / f"{workers}.json", tmp_path / f"{workers}.csv"
+            res = run_main([*args, "--workers", workers, "--out", str(out),
+                            "--curves-csv", str(curves)])
+            assert res.returncode == 0, res.stderr
+            outputs.append((out.read_bytes(), curves.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestResources:
@@ -461,6 +502,49 @@ class TestResources:
             "import sys; from polya_bernstein.cli import main; main(sys.argv[1:])", *args)
         assert exit_code == 2
         assert peak_mib < 100
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--op", "rn", "--fn", "sqrt", "--n", "200", "--grid-points", "1000000",
+         "--out", "{tmp}"],
+        ["eval", "--op", "bernstein", "--fn", "sqrt", "--n", "200", "--grid-points", "1000000",
+         "--out", "{tmp}"],
+        ["compare", "--fn", "sqrt", "--n", "200", "--points", "1000000", "--out", "{tmp}"],
+        ["scan", "--popoviciu", "--fn", "sqrt", "--n", "2..200", "--points", "1000000"],
+        ["verify", "--lemma", "--n", "2..3", "--points", "2001", "--c-samples", "1000000"],
+        ["verify", "--conjecture", "--n", "2..3", "--points", "1000000", "--c-samples", "21"],
+    ], ids=["eval-rn", "eval-bernstein", "compare", "popoviciu", "verify-c-samples",
+            "verify-points"])
+    def test_request_over_the_cell_cap_is_rejected_before_it_is_built(
+            self, tmp_path, peak_rss, args):
+        """(n+1) x points operator cells, or points x c-samples verifier
+        cells, over reports.CELLS_MAX per n exit 2 before the arrays are
+        built (here 200 x 10^6 cells, tens of GiB unchecked)."""
+        out = tmp_path / "out.csv"
+        args = [a.format(tmp=out) for a in args]
+        res = run_main(args)
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert err["kind"] == "error" and f"capped at {reports.CELLS_MAX}" in err["message"]
+        exit_code, peak_mib = peak_rss(
+            "import sys; from polya_bernstein.cli import main; main(sys.argv[1:])", *args)
+        assert exit_code == 2
+        assert peak_mib < 100
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--op", "rn", "--fn", "sqrt", "--n", "199", "--grid-points", "20000",
+         "--out", "{tmp}"],
+        ["verify", "--lemma", "--kozniewska", "--n", "2", "--points", "2000",
+         "--c-samples", "2000", "--workers", "1", "--out", "{tmp}"],
+    ], ids=["eval-rn", "verify"])
+    def test_request_at_the_cell_cap_runs_in_bounded_memory(self, tmp_path, peak_rss, args):
+        assert 200 * 20000 == 2000 * 2000 == reports.CELLS_MAX
+        args = [a.format(tmp=tmp_path / "out") for a in args]
+        exit_code, peak_mib = peak_rss(
+            "import os, sys; sys.stdout = open(os.devnull, 'w'); "
+            "from polya_bernstein.cli import main; main(sys.argv[1:])", *args)
+        assert exit_code == 0
+        assert peak_mib < 150
 
     def test_verifier_sweep_memory_is_bounded(self, tmp_path, peak_rss):
         """The fused lemma and Kozniewska sweep holds column blocks, not

@@ -1,0 +1,130 @@
+"""Digest of the ``pbop`` outputs, for a byte-for-byte comparison of two checkouts.
+
+    PYTHONPATH=<checkout>/src python3 tools/output_digest.py > <checkout>.digest
+
+Runs a fixed list of commands against the library on ``PYTHONPATH``, each in
+a fresh process, and prints one line per item: its name, its exit code, and
+the sha256 of its stdout, of its stderr and of every file it wrote (as
+``path=sha256``).  Run it once per checkout, from the same copy of this
+script, and ``diff`` the two outputs.  Timings are not part of any output, so
+equal lines mean byte-identical results.
+
+The commands are taken from ``perfbench/`` and ``tests/`` next to this script:
+
+* ``CRITERIA_CMDS`` of ``tests/test_acceptance.py``, at ``--workers`` 1 and 2;
+* the ``pbop`` lines of the README's CLI examples;
+* every command of ``perfbench/workloads.py`` for seeds 1 and 101, at
+  ``--workers`` 1 and 2 where it takes them;
+* the point queries of ``workloads.make_queries`` for seeds 101-103, one
+  ``repr`` of the result (or the error) per query;
+* ``scan --sikkema --n 2..200 --points 2001`` with ``--curves-csv``, in both
+  c-modes and both bounds, at ``--workers`` 1 and 2;
+* ``verify --lemma --kozniewska --conjecture --n6 --n 2..12`` at ``--workers``
+  1 and 2.
+
+Every item runs in a fresh directory under a temporary root, removed at the
+end, and every path it is given is relative, so the outputs do not depend on
+where they ran.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
+
+import workloads  # noqa: E402
+from test_acceptance import CRITERIA_CMDS  # noqa: E402
+from test_cli import readme_cli_examples  # noqa: E402
+
+PBOP = [sys.executable, "-m", "polya_bernstein.cli"]
+WORKERS = ("1", "2")
+WORKLOAD_SEEDS = (1, 101)
+QUERY_SEEDS = (101, 102, 103)
+# Prints one line per point query of the seed in argv[1], with perfbench/ at
+# argv[2]: the repr of its result, or the type and message of its error.
+QUERIES = """
+import sys
+sys.path.insert(0, sys.argv[2])
+import polya_bernstein, child, workloads
+for q in workloads.make_queries(int(sys.argv[1])):
+    try:
+        print(repr(float(child._call(q, polya_bernstein)())))
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+CURVES_SCAN = ["scan", "--sikkema", "--n", "2..200", "--points", "2001"]
+VERIFY = ["verify", "--lemma", "--kozniewska", "--conjecture", "--n6", "--n", "2..12",
+          "--points", "501", "--c-samples", "5"]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _files(where: Path) -> dict[str, str]:
+    return {str(p): _sha(p.read_bytes()) for p in sorted(where.rglob("*")) if p.is_file()}
+
+
+def run(name: str, argv: list[str], cwd: Path, watch: Path | None = None) -> None:
+    """Run argv in cwd and print its digest line; the files written are those
+    new or changed under watch (default cwd), named relative to cwd."""
+    watch = watch or cwd
+    before = _files(watch)
+    res = subprocess.run(argv, cwd=cwd, capture_output=True)
+    written = [f"{os.path.relpath(p, cwd)}={h}" for p, h in _files(watch).items()
+               if before.get(p) != h]
+    print(name, res.returncode, _sha(res.stdout), _sha(res.stderr), *written, flush=True)
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
+        digest(Path(tmp).resolve())
+
+
+def digest(root: Path) -> None:
+    os.chdir(root)  # the workload commands name their files relative to root
+    count = 0
+
+    def fresh() -> Path:
+        nonlocal count
+        count += 1
+        path = root / f"{count:03d}"
+        path.mkdir()
+        return path
+
+    for i, cmd in enumerate(CRITERIA_CMDS):
+        for w in WORKERS:
+            run(f"criteria[{i}]-w{w}", [*PBOP, *cmd, "--workers", w], fresh())
+    for i, line in enumerate(readme_cli_examples()):
+        run(f"readme[{i}]", [*PBOP, *shlex.split(line)[1:]], fresh())
+    for seed in WORKLOAD_SEEDS:
+        for workload, (make_ops, _) in workloads.WORKLOADS.items():
+            base = fresh()
+            for op in make_ops(Path(base.name), seed):
+                for w in WORKERS if op.takes_workers else ("",):
+                    args = [*op.args, "--workers", w] if w else op.args
+                    run(f"{workload}-{seed}:{op.key}" + (f"-w{w}" if w else ""),
+                        [*PBOP, *args], root, base)
+    for seed in QUERY_SEEDS:
+        argv = [sys.executable, "-c", QUERIES, str(seed), str(ROOT / "perfbench")]
+        run(f"queries-{seed}", argv, fresh())
+    for c_mode in ("zero", "rn"):
+        for bound in ("bracket", "majorant"):
+            for w in WORKERS:
+                run(f"curves-csv-{c_mode}-{bound}-w{w}",
+                    [*PBOP, *CURVES_SCAN, "--c-mode", c_mode, "--bound", bound, "--workers", w,
+                     "--out", "scan.json", "--curves-csv", "curves.csv"], fresh())
+    for w in WORKERS:
+        run(f"verify-w{w}", [*PBOP, *VERIFY, "--workers", w], fresh())
+
+
+if __name__ == "__main__":
+    main()
