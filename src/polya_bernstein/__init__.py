@@ -15,7 +15,6 @@ from .operators import (
     BUILTIN_FUNCTIONS,
     CProfile,
     FunctionSpec,
-    bernstein_curve,
     bernstein_eval,
     builtin_function,
     function_from_csv,

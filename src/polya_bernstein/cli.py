@@ -83,24 +83,17 @@ def cmd_eval(op, fn, fn_csv, n, x, c, grid_points, out):
         raise click.UsageError("--c applies to --op polya only")
     if c is None and op == "polya":
         raise click.UsageError("--op polya requires --c")
-    kind = {"bernstein": None, "rn": "rn", "polya": "constant"}[op]
-    profile = operators.CProfile(kind, 0.0 if c is None else c) if kind else None
+    kind = {"bernstein": "zero", "rn": "rn", "polya": "constant"}[op]
+    profile = operators.CProfile(kind, 0.0 if c is None else c)
     if (x is None) == (grid_points is None):
         raise click.UsageError("provide exactly one of --x or --grid-points")
     if grid_points is not None and out is None:
         raise click.UsageError("grid mode requires --out")
     if x is not None:
-        if op == "bernstein":
-            value = operators.bernstein_eval(f, n, x)
-        else:
-            value = operators.polya_operator_eval(f, n, x, profile)
-        click.echo(repr(value))
+        click.echo(repr(operators.polya_operator_eval(f, n, x, profile)))
         return
     xs = np.linspace(0.0, 1.0, grid_points)
-    if op == "bernstein":
-        curve = operators.bernstein_curve(f, n, xs)
-    else:
-        curve = operators.operator_curve(f, n, xs, profile)
+    curve = operators.operator_curve(f, n, xs, profile)
     fx = np.asarray(f(xs))
     rows = zip(xs.tolist(), fx.tolist(), curve.tolist(), (curve - fx).tolist())
     write_curves_csv(out, rows, header=("x", "fx", "opx", "error"))
@@ -198,8 +191,8 @@ def cmd_compare(fn, fn_csv, n, points, out):
         raise click.UsageError(f"compare requires n > 1, got {n}")
     xs = np.linspace(0.0, 1.0, points)
     fx = np.asarray(f(xs))
-    err_b = operators.bernstein_curve(f, n, xs) - fx
-    err_r = operators.operator_curve(f, n, xs, operators.CProfile("rn")) - fx
+    err_b, err_r = (operators.operator_curve(f, n, xs, operators.CProfile(kind)) - fx
+                    for kind in ("zero", "rn"))
     write_curves_csv(
         out,
         zip(xs.tolist(), err_b.tolist(), err_r.tolist()),

@@ -80,8 +80,11 @@ def binomial_row(n: int, log: bool = False) -> np.ndarray:
     equals ``[math.comb(n, k) ...]`` bit for bit.  The log row logs the
     exact integers, not the rounded floats (np.log of the float row can
     move a last bit), and has no size cap; the float row raises
-    OverflowError once C(n, n/2) passes the float range (n > 1029).
+    OverflowError for n > 1029, where C(n, n/2) passes the float range,
+    before it builds any integer.
     """
+    if not log and n > 1029:
+        raise OverflowError(f"float binomial row capped at n = 1029, got n={n}")
     row = [1]
     for k in range(n // 2):
         row.append(row[-1] * (n - k) // (k + 1))

@@ -1,11 +1,11 @@
 """Approximation operators on C[0,1].
 
-The classical Bernstein operator B_n and the urn-based operator family
-P_n^{x,1-x,c} with a pluggable replacement profile c(x); the paper's
-operator R_n is the family under CProfile("rn"), c(x) = -min{x,1-x}/(n-1).
-Each operator has one evaluation path, its curve over a grid; a point
-query is the one-point view of that curve.  Also the grid-based modulus
-of continuity and sup-norm error/ratio profiling.
+The urn-based operator family P_n^{x,1-x,c} with a pluggable replacement
+profile c(x): the paper's R_n under CProfile("rn"), c(x) = -min{x,1-x}/(n-1),
+and the classical Bernstein B_n at c = 0, CProfile("zero").  The one
+evaluation path is the curve over a grid, which forms the Bernstein basis
+directly where every c is 0; a point query is its one-point view.  Also the
+grid-based modulus of continuity and sup-norm error/ratio profiling.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .numeric_core import binomial_row
-from .polya import pmf_matrix
+from .polya import _check_unit_interval, pmf_matrix
 from .reports import GridSpec, ScanReport, _check_cells, _parse_n_range
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "function_from_csv",
     "CProfile",
     "bernstein_eval",
-    "bernstein_curve",
     "polya_operator_eval",
     "operator_curve",
     "modulus_of_continuity",
@@ -153,21 +152,8 @@ class CProfile:
 
 def bernstein_eval(f: FunctionSpec, n: int, x: float) -> float:
     """Classical Bernstein polynomial sum f(k/n) C(n,k) x^k (1-x)^(n-k):
-    the one-point view of :func:`bernstein_curve`."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0,1], got {x}")
-    return float(bernstein_curve(f, n, np.array([x]))[0])
-
-
-def bernstein_curve(f: FunctionSpec, n: int, xs: np.ndarray) -> np.ndarray:
-    """Bernstein polynomial evaluated on a grid (vectorized over x)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    xs = np.asarray(xs, dtype=float)
-    _check_cells((n + 1) * xs.size, "a Bernstein curve")
-    k = np.arange(n + 1, dtype=float)
-    weights = binomial_row(n)[:, None] * xs[None, :] ** k[:, None] * (1.0 - xs)[None, :] ** (n - k)[:, None]
-    return np.asarray(f(k / n)) @ weights
+    the zero-profile point of :func:`operator_curve`."""
+    return polya_operator_eval(f, n, x, CProfile("zero"))
 
 
 def polya_operator_eval(f: FunctionSpec, n: int, x: float, profile: CProfile) -> float:
@@ -179,14 +165,21 @@ def polya_operator_eval(f: FunctionSpec, n: int, x: float, profile: CProfile) ->
 
 
 def operator_curve(f: FunctionSpec, n: int, xs: np.ndarray, profile: CProfile) -> np.ndarray:
-    """Urn operator evaluated on a grid (vectorized over x)."""
+    """Urn operator evaluated on a grid (vectorized over x).  Where every c
+    is 0 the pmf is the Bernstein basis C(n,k) x^k (1-x)^(n-k), products of
+    nonnegative factors summing to within 6e-14 of 1 up to n = 1029, so
+    :func:`pmf_matrix`, with its checks, serves only c != 0."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     xs = np.asarray(xs, dtype=float)
     _check_cells((n + 1) * xs.size, "an operator curve")
     cs = np.asarray(profile.c_at(xs, n), dtype=float)
-    probs = pmf_matrix(n, xs, cs)
     k = np.arange(n + 1, dtype=float)
+    if np.count_nonzero(cs):
+        probs = pmf_matrix(n, xs, cs)
+    else:
+        _check_unit_interval(xs)
+        probs = binomial_row(n)[:, None] * xs[None, :] ** k[:, None] * (1.0 - xs)[None, :] ** (n - k)[:, None]
     return np.asarray(f(k / n)) @ probs
 
 
@@ -247,13 +240,14 @@ def popoviciu_scan(
     """Per-n and global sup over the grid of |Op(f;x) - f(x)| / omega(n^{-1/2}),
     with omega on a grid of OMEGA_RESOLUTION + 1 points.
 
-    operator is "bernstein" or "rn".  ns follows the n rule of every sweep
-    (distinct, sorted, 2..N_MAX).  f is sampled once on the modulus grid
-    and once on the scan grid, and each n's ratio curve feeds
-    :meth:`ScanReport.from_curves`, the reduction of every scan.  Rejects
-    (near-)constant f, whose ratio is 0/0.
+    operator is "bernstein" (the zero profile) or "rn".  ns follows the n
+    rule of every sweep (distinct, sorted, 2..N_MAX).  f is sampled once on
+    the modulus grid and once on the scan grid, and each n's ratio curve
+    feeds :meth:`ScanReport.from_curves`, the reduction of every scan.
+    Rejects (near-)constant f, whose ratio is 0/0.
     """
-    if operator not in ("bernstein", "rn"):
+    profiles = {"bernstein": CProfile("zero"), "rn": CProfile("rn")}
+    if operator not in profiles:
         raise ValueError(f"unknown operator {operator!r}")
     ns = _parse_n_range(ns)
     _check_cells((ns[-1] + 1) * grid.points, "an operator curve")
@@ -265,9 +259,7 @@ def popoviciu_scan(
         omega = _window_spread(vals, _modulus_window(n ** -0.5, OMEGA_RESOLUTION))
         if omega <= 0.0:
             raise ValueError(f"function {f.name!r} is constant on the grid; ratio undefined")
-        curve = (bernstein_curve(f, n, xs) if operator == "bernstein"
-                 else operator_curve(f, n, xs, CProfile("rn")))
-        return xs, np.abs(curve - fx) / omega
+        return xs, np.abs(operator_curve(f, n, xs, profiles[operator]) - fx) / omega
 
     meta = {"operator": operator, "function": f.name, "kind": "popoviciu-ratio"}
     return ScanReport.from_curves(zip(ns, map(ratios, ns)), grid, meta)

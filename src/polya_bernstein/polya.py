@@ -175,6 +175,11 @@ def _pmf_from_products(cum_a: np.ndarray, cum_b: np.ndarray, den: np.ndarray) ->
     return probs
 
 
+def _check_unit_interval(x: np.ndarray) -> None:
+    if not ((x >= -BOUNDARY_SLACK) & (x <= 1 + BOUNDARY_SLACK)).all():  # NaN fails
+        raise AdmissibilityError("x must lie in [0,1]")
+
+
 def pmf_matrix(n: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Vectorized pmf for parameter family (n, x, 1-x, c), shape (n+1, len(x)).
 
@@ -185,8 +190,7 @@ def pmf_matrix(n: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     c = np.broadcast_to(np.asarray(c, dtype=float), x.shape)
-    if np.any(x < -BOUNDARY_SLACK) or np.any(x > 1 + BOUNDARY_SLACK):
-        raise AdmissibilityError("x must lie in [0,1]")
+    _check_unit_interval(x)
     probs = _pmf_from_products(*rising_products(n, x, c, scaled=True))
     if not np.isfinite(probs).all():
         raise ArithmeticError(f"pmf entry overflows for n={n}")

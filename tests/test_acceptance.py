@@ -61,11 +61,10 @@ def test_criterion_3_c_zero_degeneracy():
     worst = 0.0
     for f in BUILTIN_FUNCTIONS.values():
         for n in range(2, 21):
-            diff = np.abs(
-                operators.operator_curve(f, n, xs, zero) - operators.bernstein_curve(f, n, xs)
-            ).max()
+            urn = f(np.arange(n + 1) / n) @ pmf_matrix(n, xs, 0.0)
+            diff = np.abs(operators.operator_curve(f, n, xs, zero) - urn).max()
             worst = max(worst, float(diff))
-    _report(3, "c=0 degeneracy", worst <= 1e-13, f"max |zero-profile - Bernstein| = {worst:.3e}")
+    _report(3, "c=0 degeneracy", worst <= 1e-13, f"max |zero-profile - c=0 urn pmf| = {worst:.3e}")
 
 
 def test_criterion_4_kozniewska_identity():

@@ -546,6 +546,23 @@ class TestResources:
         assert exit_code == 0
         assert peak_mib < 150
 
+    @pytest.mark.parametrize("op", ["rn", "bernstein"])
+    def test_n_past_the_float_binomial_row_is_rejected_before_it_is_built(self, peak_rss, op):
+        """The float binomial row holds n <= 1029.  Building the exact
+        integer row first took 1 s and 198 MiB at n = 60000 before the
+        float conversion failed, growing about as n^2."""
+        args = ["eval", "--op", op, "--fn", "sin-pi", "--n", "60000", "--x", "0.3"]
+        res = run_main(args)
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert err["kind"] == "error" and "capped at n = 1029" in err["message"]
+        exit_code, peak_mib = peak_rss(
+            "import sys; from polya_bernstein.cli import main; main(sys.argv[1:])", *args)
+        assert exit_code == 2
+        assert peak_mib < 100
+        res = run_main(["eval", "--op", op, "--fn", "sin-pi", "--n", "1029", "--x", "0.3"])
+        assert res.returncode == 0 and 0.0 < float(res.stdout) < 1.0
+
     def test_verifier_sweep_memory_is_bounded(self, tmp_path, peak_rss):
         """The fused lemma and Kozniewska sweep holds column blocks, not
         (n+1) x points x c-samples arrays (674 MiB unblocked here)."""

@@ -5,11 +5,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from polya_bernstein import operators, polya
+from polya_bernstein import analysis, operators, polya
+from polya_bernstein.numeric_core import strict_floor_bracket
 from polya_bernstein.operators import (
     BUILTIN_FUNCTIONS,
     CProfile,
-    bernstein_curve,
     bernstein_eval,
     builtin_function,
     function_from_csv,
@@ -42,7 +42,7 @@ class TestBernstein:
         f = builtin_function("sin-pi")
         xs = np.linspace(0, 1, 11)
         for n in (1, 7, 60):
-            curve = bernstein_curve(f, n, xs)
+            curve = operator_curve(f, n, xs, CProfile("zero"))
             for x, v in zip(xs, curve):
                 with mpmath.workdps(50):
                     t = mpmath.mpf(float(x))
@@ -60,7 +60,7 @@ class TestPolyaOperator:
         for n in (0, -3):
             for call in (
                 lambda: bernstein_eval(f, n, 0.5),
-                lambda: bernstein_curve(f, n, xs),
+                lambda: operator_curve(f, n, xs, CProfile("zero")),
                 lambda: polya_operator_eval(f, n, 0.5, CProfile("constant", 0.1)),
                 lambda: operator_curve(f, n, xs, CProfile("constant", 0.1)),
             ):
@@ -68,13 +68,45 @@ class TestPolyaOperator:
                     call()
 
     def test_zero_profile_degenerates_to_bernstein(self):
+        # the zero profile's Bernstein basis against the urn pmf at c = 0
         xs = np.linspace(0, 1, 101)
         for name, f in BUILTIN_FUNCTIONS.items():
             for n in (2, 7, 20):
-                diff = np.abs(
-                    operator_curve(f, n, xs, CProfile("zero")) - bernstein_curve(f, n, xs)
-                ).max()
+                urn = f(np.arange(n + 1) / n) @ pmf_matrix(n, xs, 0.0)
+                diff = np.abs(operator_curve(f, n, xs, CProfile("zero")) - urn).max()
                 assert diff <= 1e-13, (name, n, diff)
+
+    def test_every_zero_c_is_the_bernstein_point(self):
+        rng = np.random.default_rng(29)
+        zeros = (CProfile("zero"), CProfile("constant", 0.0))
+        for f in BUILTIN_FUNCTIONS.values():
+            for n in rng.integers(1, 201, size=4).tolist():
+                for x in (0.0, 1.0, *rng.uniform(0.0, 1.0, size=3).tolist()):
+                    want = bernstein_eval(f, n, x)
+                    for profile in zeros:
+                        assert polya_operator_eval(f, n, x, profile) == want, (f.name, n, x)
+        # an rn grid of only the endpoints has c = 0 too
+        ends = np.array([0.0, 1.0])
+        for n in (2, 9):
+            rn = operator_curve(CONST_ONE, n, ends, CProfile("rn"))
+            assert rn.tolist() == operator_curve(CONST_ONE, n, ends, zeros[0]).tolist()
+
+    def test_zero_profile_basis_sums_to_one_up_to_the_float_row_cap(self):
+        # the c = 0 route skips pmf_matrix's sum check; it could not fire
+        xs = np.linspace(0.0, 1.0, 2001)
+        for n in (*range(1, 41), 100, 200, 500, 800, 1000, 1029):
+            drift = np.abs(operator_curve(CONST_ONE, n, xs, CProfile("zero")) - 1.0).max()
+            assert drift <= 1e-12, (n, drift)
+        with pytest.raises(OverflowError, match="capped at n = 1029"):
+            operator_curve(CONST_ONE, 1030, xs, CProfile("zero"))
+
+    def test_zero_profile_rejects_x_outside_the_unit_interval(self):
+        f = builtin_function("sin-pi")
+        for bad in (-0.1, 1.1, math.nan):
+            with pytest.raises(polya.AdmissibilityError, match=r"x must lie in \[0,1\]"):
+                operator_curve(f, 5, np.array([0.5, bad]), CProfile("zero"))
+            with pytest.raises(ValueError, match=r"x must lie in \[0,1\]"):
+                bernstein_eval(f, 5, bad)
 
     def test_reproduces_linear(self):
         for profile in (CProfile("zero"), CProfile("rn"), CProfile("constant", 0.3)):
@@ -387,7 +419,8 @@ class TestPointQueryPins:
     # rn, zero and constant(0.02) profiles, bernstein_eval(sin-pi, n, 0.3),
     # truncated_first_moment(PolyaParams(n, 0.3, 0.7, -0.15/(n-1)), n//2)
     # closed and brute), recorded from the row-loop products and the
-    # per-call math.comb tables.
+    # per-call math.comb tables.  The zero profile is the Bernstein route,
+    # so its entry equals bernstein_eval's.
     PINS = (
         (
             2,
@@ -401,7 +434,7 @@ class TestPointQueryPins:
             57,
             (1.8256669247489137e-10, 0.10227088054934988, 0.0004996633639251206, 3.470029920977658e-36),
             (0.09839915896407767, 0.01723525343313708, 0.013303189419687344, 0.0022927544172560194),
-            (0.7987878494929788, 0.7943631859573127, 0.778230052758089),
+            (0.7987878494929788, 0.7943631859573126, 0.778230052758089),
             0.7943631859573126,
             (5.7198306133533566e-05, 5.71983061335322e-05),
         ),
@@ -409,7 +442,7 @@ class TestPointQueryPins:
             200,
             (6.799772408441843e-35, 0.03973868942562626, 5.3278306268413433e-11, 4.187788427067234e-125),
             (0.046748778870561336, 0.004999665890444407, 0.003771306367048525, 0.00040103349232100115),
-            (0.8060880501110337, 0.8048295119974958, 0.7884602146832591),
+            (0.8060880501110337, 0.804829511997496, 0.7884602146832591),
             0.804829511997496,
             (5.983769573362004e-12, 5.983750466726767e-12),
         ),
@@ -429,3 +462,46 @@ class TestPointQueryPins:
         params = PolyaParams(n, 0.3, 0.7, cneg)
         methods = ("closed", "brute")
         assert tuple(truncated_first_moment(params, n // 2, m) for m in methods) == moments
+
+
+class TestStaircaseWitness:
+    """Sikkema's extremal function ties the operator to the bracket sum.
+
+    For x not a node k/n, f_x(t) = 1 + max(]sqrt(n)|t - x|[, 0) for t != x
+    and f_x(x) = 0 has omega(f_x, 1/sqrt(n)) = 1, so the operator's error at
+    x is R_n f_x(x) = sum_k (1 + ]sqrt(n)|k/n - x|[) p_k(x) = S_n^c(x): the
+    scan's bracket sum is the constant the operator attains.
+    """
+
+    @staticmethod
+    def staircase(n: int, x: float) -> operators.FunctionSpec:
+        def fn(t):
+            steps = 1.0 + np.maximum(strict_floor_bracket(math.sqrt(n) * np.abs(t - x)), 0)
+            return np.where(t == x, 0.0, steps)
+
+        return operators.FunctionSpec("staircase", fn)
+
+    @pytest.mark.parametrize("c_mode", ["zero", "rn"])
+    def test_operator_attains_the_bracket_sum_at_the_argmax(self, c_mode, pmf_oracle):
+        rep = analysis.scan_sup(range(2, 41), c_mode, GridSpec(points=2001), bound="bracket")
+        profile = CProfile(c_mode)
+        for n, sup, x in rep.per_n:
+            # the scan evaluates x >= 1/2 and mirrors it; read its point
+            x = max(x, 1.0 - x)
+            if any(k / n == x for k in range(n + 1)):
+                # rn at n = 2: the sum is 1 everywhere and the first argmax
+                # is the node x = 0, where f_x is not the witness
+                assert (c_mode, n) == ("rn", 2)
+                x = 0.75
+                assert analysis.bracket_curve(n, np.array([x]), c_mode)[0] == sup
+            xs = np.array([x])
+            got = operator_curve(self.staircase(n, x), n, xs, profile)[0]
+            # R_n 1 - 1 is the pmf column's mass drift (1.6e-15 at rn n = 29),
+            # which the operator reads and the bracket sum, 1 + sum_k w_k p_k,
+            # does not
+            drift = operator_curve(CONST_ONE, n, xs, profile)[0] - 1.0
+            assert got - drift == pytest.approx(sup, rel=1e-15, abs=0), (n, x)
+            # and against the pmf from its product definition in 50 digits
+            c = float(profile.c_at(x, n))
+            oracle = self.staircase(n, x)(np.arange(n + 1) / n) @ np.array(pmf_oracle(n, x, c))
+            assert oracle == pytest.approx(sup, rel=1e-15, abs=0), (n, x)

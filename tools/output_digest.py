@@ -20,7 +20,9 @@ The commands are taken from ``perfbench/`` and ``tests/`` next to this script:
 * ``scan --sikkema --n 2..200 --points 2001`` with ``--curves-csv``, in both
   c-modes and both bounds, at ``--workers`` 1 and 2;
 * ``verify --lemma --kozniewska --conjecture --n6 --n 2..12`` at ``--workers``
-  1 and 2.
+  1 and 2;
+* ``eval --op polya --c 0`` at one point and on a grid, and ``eval --op
+  bernstein`` at one point: the c = 0 route of the operator.
 
 Every item runs in a fresh directory under a temporary root, removed at the
 end, and every path it is given is relative, so the outputs do not depend on
@@ -61,6 +63,12 @@ for q in workloads.make_queries(int(sys.argv[1])):
         print(type(exc).__name__, exc)
 """
 CURVES_SCAN = ["scan", "--sikkema", "--n", "2..200", "--points", "2001"]
+EVALS = (
+    ["eval", "--op", "polya", "--c", "0", "--fn", "sin-pi", "--n", "57", "--x", "0.3"],
+    ["eval", "--op", "polya", "--c", "0", "--fn", "sqrt", "--n", "200", "--grid-points", "1001",
+     "--out", "polya-c0.csv"],
+    ["eval", "--op", "bernstein", "--fn", "sin-pi", "--n", "57", "--x", "0.3"],
+)
 VERIFY = ["verify", "--lemma", "--kozniewska", "--conjecture", "--n6", "--n", "2..12",
           "--points", "501", "--c-samples", "5"]
 
@@ -124,6 +132,8 @@ def digest(root: Path) -> None:
                      "--out", "scan.json", "--curves-csv", "curves.csv"], fresh())
     for w in WORKERS:
         run(f"verify-w{w}", [*PBOP, *VERIFY, "--workers", w], fresh())
+    for i, cmd in enumerate(EVALS):
+        run(f"eval[{i}]", [*PBOP, *cmd], fresh())
 
 
 if __name__ == "__main__":
