@@ -37,7 +37,6 @@ the grid one-sided around every jump of the scanned quantity.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from functools import partial
 from typing import Any, Iterable, Sequence
@@ -78,8 +77,10 @@ IDENTITY_TOL = 1e-12
 STRICT_C_CUTOFF = -1e-10
 # bracket_curve and the verifier sweeps work on (n+1)-row arrays in column
 # blocks of at most this many bytes per array, so memory stays flat in the
-# grid size and a block stays in cache.  Each column is computed on its own,
-# so blocking changes no output bit.
+# grid size, and the verifier sweeps reuse one set of block buffers per n.
+# A block does not stay in cache (three such arrays exceed a 2 MiB L2), but
+# 256 and 512 KiB blocks measured slower.  Each column is computed on its
+# own, so blocking changes no output bit.
 BLOCK_BYTES = 2 << 20
 
 
@@ -268,6 +269,8 @@ def _map_over_n(fn, ns: Sequence[int], workers: int = 1):
     if workers < 2:
         yield from map(fn, ns)
         return
+    import multiprocessing  # only here: a serial run does without it
+
     with multiprocessing.Pool(workers) as pool:
         yield from pool.imap(fn, ns, math.ceil(len(ns) / (4 * workers)))
 
@@ -339,17 +342,25 @@ def _sweep_n(n: int, xs: np.ndarray, cgrid: np.ndarray, sweeps: list) -> list[di
     """One pass of the verifier sweeps over the (x, c) cells of one n: cell
     g*cs + j holds x = xs[g] and c = cgrid[g, j].  Each block of whole grid
     points has its rising products computed once, for every sweep in list
-    order; the sweeps read their witness cells back from X and C."""
+    order; the sweeps read their witness cells back from X and C.
+
+    The products of every block go into three flat buffers sized once for
+    the widest block.  The third held the factors of 1^(n,c) and is handed
+    to the sweeps as spare, an (n, block cells) scratch array."""
     cs = cgrid.shape[1]
     X = np.repeat(xs, cs)
     C = cgrid.ravel()
     rmax = _rmax(n, xs)
-    for g0, g1 in _blocks(xs.size, 8 * (n + 1) * cs):
+    blocks = list(_blocks(xs.size, 8 * (n + 1) * cs))
+    width = max((g1 - g0 for g0, g1 in blocks), default=0) * cs
+    bufs = (np.empty((n + 1) * width), np.empty((n + 1) * width), np.empty(n * width))
+    for g0, g1 in blocks:
         s0, s1 = g0 * cs, g1 * cs
-        products = rising_products(n, X[s0:s1], C[s0:s1])
+        products = rising_products(n, X[s0:s1], C[s0:s1], out=bufs)
+        spare = bufs[2][: n * (s1 - s0)].reshape(n, s1 - s0)
         cells = np.arange(s0, s1)
         for sweep in sweeps:
-            sweep.block(cells, xs[g0:g1], rmax[g0:g1], X[s0:s1], C[s0:s1], *products)
+            sweep.block(cells, xs[g0:g1], rmax[g0:g1], X[s0:s1], C[s0:s1], *products, spare)
     return [sweep.result(X, C) for sweep in sweeps]
 
 
@@ -391,7 +402,7 @@ class _LemmaSweep(_Sweep):
     def __init__(self, n: int, c_samples: int):
         super().__init__(n, c_samples, (n, 2))
 
-    def block(self, cells, xb, rb, X, C, cum_a, cum_b, den) -> None:
+    def block(self, cells, xb, rb, X, C, cum_a, cum_b, den, spare) -> None:
         n, cs = self.n, self.cs
         strict_c = C < STRICT_C_CUTOFF
         for r in range(int(rb[-1]) + 1):
@@ -459,9 +470,9 @@ class _KozniewskaSweep(_Sweep):
         self.binom_n1 = binomial_row(n - 1)
         self.k_n = np.arange(n + 1, dtype=float)[:, None] / n
 
-    def block(self, cells, xb, rb, X, C, cum_a, cum_b, den) -> None:
-        n = self.n
-        closed = np.multiply(self.binom_n1[:, None], cum_a[1 : n + 1])
+    def block(self, cells, xb, rb, X, C, cum_a, cum_b, den, spare) -> None:
+        n, cs = self.n, self.cs
+        closed = np.multiply(self.binom_n1[:, None], cum_a[1 : n + 1], out=spare)
         closed *= cum_b[n:0:-1]
         closed /= den
         # The pmf and the partial sums overwrite cum_a and cum_b, so a lemma
@@ -477,18 +488,22 @@ class _KozniewskaSweep(_Sweep):
         # Reflection: the tail over {k : x - k/n < -1/sqrt(n)} rewritten
         # through k = n - k' must equal F_n^c(1-x), here from the log-space
         # kernel that the scans run.  The strict threshold is realized by
-        # the snapped bracket r' = ]n(1-x) - sqrt(n)[.
-        rp = strict_floor_bracket(n * (1.0 - X) - math.sqrt(n))
-        active = (1.0 - X > 1.0 / math.sqrt(n)) & (rp >= 0)
+        # the snapped bracket r' = ]n(1-x) - sqrt(n)[, taken per grid point.
+        # x is nondecreasing, so r' is nonincreasing: the active cells are a
+        # prefix of the block, and its first cell has the largest r'.
+        rp = strict_floor_bracket(n * (1.0 - xb) - math.sqrt(n))
+        active = (1.0 - xb > 1.0 / math.sqrt(n)) & (rp >= 0)
+        rr = np.repeat(np.minimum(rp[active], n - 1), cs)
         tail = np.zeros_like(X)
-        if np.any(active):
-            cols = np.nonzero(active)[0]
-            rr = np.minimum(rp[cols], n - 1)
-            terms = np.subtract((1.0 - X)[None, :], self.k_n, out=partial)
-            terms *= probs[::-1]
+        if rr.size:
+            a, top = rr.size, int(rr[0]) + 1
+            terms = np.subtract((1.0 - X[:a])[None, :], self.k_n[:top], out=partial[:top, :a])
+            terms *= probs[::-1][:top, :a]
             _accumulate_rows(np.add, terms)  # terms[r] = sum_{k'<=r}
-            tail[cols] = terms[rr, cols]
-        rdiff = np.abs(tail - f_n_c_curve(n, 1.0 - X, C))
+            tail[:a] = terms[rr, np.arange(a)]
+            # F_n^c(1-x) is 0 off the active prefix, as the tail is
+            tail[:a] -= f_n_c_curve(n, 1.0 - X[:a], C[:a])
+        rdiff = np.abs(tail, out=tail)
         _first_min(self.worst[n:], self.where[n:], -rdiff[None], cells)
         self.checked += int(X.size)
 
@@ -541,7 +556,7 @@ class _ConjectureSweep(_Sweep):
         cmin = CProfile("rn").c_at(xa, n)[:, None]
         return xa, cmin + np.linspace(0.0, 1.0, c_samples) * (CONJECTURE_C_MAX - cmin)
 
-    def block(self, cells, xb, rb, X, C, cum_a, cum_b, den) -> None:
+    def block(self, cells, xb, rb, X, C, cum_a, cum_b, den, spare) -> None:
         n, cs = self.n, self.cs
         for r in range(int(rb[-1]) + 1):
             s = int(np.searchsorted(rb, r)) * cs  # points with rmax >= r: a suffix

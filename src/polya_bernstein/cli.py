@@ -36,11 +36,20 @@ def _parse_range(text: str) -> range:
 
 
 def _resolve_workers(workers: int | None) -> int:
+    """--workers, else PB_WORKERS unless it is unset or empty, else one
+    worker per CPU."""
+    source = "--workers"
     if workers is None:
         env = os.environ.get("PB_WORKERS")
-        workers = int(env) if env else (os.cpu_count() or 1)
+        if not env:
+            return os.cpu_count() or 1
+        source = "PB_WORKERS"
+        try:
+            workers = int(env)
+        except ValueError:
+            raise click.UsageError(f"PB_WORKERS must be an integer, got {env!r}") from None
     if workers < 1:
-        raise click.UsageError(f"--workers must be >= 1, got {workers}")
+        raise click.UsageError(f"{source} must be >= 1, got {workers}")
     return workers
 
 

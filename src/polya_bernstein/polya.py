@@ -119,7 +119,7 @@ def pmf(params: PolyaParams) -> np.ndarray:
     return pmf_matrix(params.n, params.a / total, params.c / total)[:, 0]
 
 
-def rising_products(n: int, x: np.ndarray, c: np.ndarray, scaled: bool = False):
+def rising_products(n: int, x: np.ndarray, c: np.ndarray, scaled: bool = False, out=None):
     """Rising factorials of the family (n, x, 1-x, c) as cumulative products.
 
     x and c are 1-D arrays of equal length M.  Returns (cum_a, cum_b, den)
@@ -132,17 +132,27 @@ def rising_products(n: int, x: np.ndarray, c: np.ndarray, scaled: bool = False):
     two near the geometric mean of its 1 + ic.  A pmf entry, n factors over
     n, keeps every bit, and the products stay in the float range at large
     n c (1^(200,0.5) is about 1e317).
+
+    out, if given, is three flat float arrays of at least (n+1) M entries
+    each; cum_a, cum_b and the factors of 1^(n,c) are written into their
+    leading entries instead of fresh arrays, with the same bits.  The
+    factors are dead once den is formed, so the third array is free again
+    on return.
     """
     validate_sweep(n, x, c)
-    ic = np.arange(n, dtype=float)[:, None] * c[None, :]
-    cum_a = np.empty((n + 1, x.size))
-    cum_b = np.empty((n + 1, x.size))
+    m = x.size
+    if out is None:
+        cum_a, cum_b, ic = np.empty((n + 1, m)), np.empty((n + 1, m)), np.empty((n, m))
+    else:
+        cum_a, cum_b = (buf[: (n + 1) * m].reshape(n + 1, m) for buf in out[:2])
+        ic = out[2][: n * m].reshape(n, m)
+    np.multiply(np.arange(n, dtype=float)[:, None], c[None, :], out=ic)
     cum_a[0] = 1.0
     cum_b[0] = 1.0
     np.add(x[None, :], ic, out=cum_a[1:])          # factor i of x^(k,c)
     np.add((1.0 - x)[None, :], ic, out=cum_b[1:])  # factor i of (1-x)^(m,c)
     fd = np.add(1.0, ic, out=ic)                   # factor i of 1^(n,c)
-    if np.any(fd == 0.0):
+    if not fd.all():
         raise ZeroDivisionError("denominator factor 1 + i*c vanishes in the sweep")
     if scaled and np.any(c > 0.0):
         scale = np.where(c > 0.0, np.exp2(-np.rint(np.log2(fd).mean(axis=0))), 1.0)
@@ -204,13 +214,17 @@ def pmf_matrix(n: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _stirling_tail(z: np.ndarray) -> np.ndarray:
-    """lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2 for z >= _STIRLING_MIN."""
-    inv = 1.0 / z
+    """lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2 for z >= _STIRLING_MIN,
+    elementwise, evaluated in place over z."""
+    inv = np.divide(1.0, z, out=z)
     w = inv * inv
-    s = np.full_like(z, _STIRLING_COEF[-1])
-    for a in _STIRLING_COEF[-2::-1]:
-        s = s * w + a
-    return s * inv
+    s = w * _STIRLING_COEF[-1]
+    for a in _STIRLING_COEF[-2:0:-1]:
+        s += a
+        s *= w
+    s += _STIRLING_COEF[0]
+    s *= inv
+    return s
 
 
 def log_rising(x, k, c) -> np.ndarray:
@@ -238,36 +252,44 @@ def log_rising(x, k, c) -> np.ndarray:
     )
     kf = k.astype(float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.where(k > 0, kf * np.log(x), 0.0)
+        lx = np.log(x)
         u = x / np.abs(c)
-    # u = inf: c = 0, or |c| so small that every log1p(i c/x) rounds to 0
-    sel = (k > 0) & (x > 0.0) & np.isfinite(u)
-    if not np.any(sel):
+        # u = inf: c = 0, or |c| so small that every log1p(i c/x) rounds to 0
+        sel = (k > 0) & (x > 0.0) & np.isfinite(u)
+        every = sel.size > 0 and sel.all()
+        if not every:
+            out = np.where(k > 0, kf * lx, 0.0)
+    if every:  # nothing to gather or scatter
+        xs, ks, cs, u, lx = (np.ravel(a) for a in (x, kf, c, u, lx))
+    elif sel.any():
+        xs, ks, cs, u, lx = x[sel], kf[sel], c[sel], u[sel], lx[sel]
+    else:
         return out
-    xs, ks, cs, u = x[sel], kf[sel], c[sel], u[sel]
+    # Falling (c < 0): the run i < m ends at base u - m + 1 >= _STIRLING_MIN,
+    # the factors i = m..k-1 are exact.  Rising: factors i < j are exact,
+    # the run i = j..k-1 starts at u + j.
+    m = np.clip(np.floor(u - _STIRLING_MIN) + 1.0, 0.0, ks)
+    y = u - m + 1.0
+    t, lo, count = 1.0, m, ks - m  # t = y + m - u
     rising = cs > 0.0
-    # Rising: factors i < j are exact, the run i = j..k-1 starts at u + j.
-    # Falling: the run i < m ends at base u - m + 1 >= _STIRLING_MIN, the
-    # factors i = m..k-1 are exact.
-    j = np.clip(np.ceil(_STIRLING_MIN - u), 0.0, ks)
-    m = np.where(rising, ks - j, np.clip(np.floor(u - _STIRLING_MIN) + 1.0, 0.0, ks))
-    y = np.where(rising, u + j, u - m + 1.0)
-    t = np.where(rising, ks, 1.0)  # y + m - u
-    val = (
-        m * np.log(xs)
-        + (y - 0.5) * np.log1p(m / y)
-        + m * np.log1p(t / u)
-        - m
-        + _stirling_tail(y + m)
-        - _stirling_tail(y)
-    )
-    lo = np.where(rising, 0.0, m)
-    count = np.where(rising, j, ks - m)
+    if rising.any():
+        j = np.clip(np.ceil(_STIRLING_MIN - u), 0.0, ks)
+        m = np.where(rising, ks - j, m)
+        y = np.where(rising, u + j, y)
+        t = np.where(rising, ks, t)
+        lo = np.where(rising, 0.0, lo)
+        count = np.where(rising, j, count)
+    val = m * lx + (y - 0.5) * np.log1p(m / y) + m * np.log1p(t / u) - m
+    tails = _stirling_tail(np.stack([y + m, y]))
+    val += tails[0]
+    val -= tails[1]
     with np.errstate(divide="ignore"):
         for e in range(int(count.max())):
             cols = np.nonzero(e < count)[0]
             factor = xs[cols] + (lo[cols] + e) * cs[cols]
             val[cols] += np.log(np.maximum(factor, 0.0))
+    if every:
+        return val.reshape(x.shape)
     out[sel] = val
     return out
 

@@ -37,7 +37,7 @@ def serial_pool(monkeypatch):
     """Replace the sweeps' multiprocessing.Pool by one whose imap is a lazy
     map in this process; returns the list of process counts of the pools
     started."""
-    from polya_bernstein import analysis
+    import multiprocessing
 
     started = []
 
@@ -54,7 +54,7 @@ def serial_pool(monkeypatch):
         def imap(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(analysis.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     return started
 
 

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import polya_bernstein
 from polya_bernstein import analysis, operators, reports
-from polya_bernstein.cli import cli, main
+from polya_bernstein.cli import _resolve_workers, cli, main
 from polya_bernstein.reports import GridSpec
 
 
@@ -292,6 +292,22 @@ class TestFailurePaths:
         res = run_main(["scan", "--sikkema", "--n", "2..3", "--workers", "0"])
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0"])
+    def test_bad_pb_workers_is_a_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("PB_WORKERS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--lemma", "--n", "2..3", "--points", "201"])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "PB_WORKERS" in err["message"]
+
+    @pytest.mark.parametrize("value, want", [("", 3), ("2", 2)])
+    def test_empty_pb_workers_is_unset(self, monkeypatch, value, want):
+        monkeypatch.setenv("PB_WORKERS", value)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _resolve_workers(None) == want
+        assert _resolve_workers(1) == 1
+
     @pytest.mark.parametrize(
         "table, complaint",
         [
@@ -462,6 +478,17 @@ class TestResources:
         )
         assert res.returncode == 0
         assert res.stdout.strip() == "False"
+
+    def test_serial_run_leaves_multiprocessing_unloaded(self):
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from polya_bernstein.cli import main; "
+             "main(['verify', '--lemma', '--n', '2..3', '--points', '201', '--workers', '1']); "
+             "print('multiprocessing' in sys.modules, file=sys.stderr)"],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 0
+        assert res.stderr.strip() == "False"
 
     def test_bracket_scan_memory_is_bounded(self, tmp_path, peak_rss):
         """The n = 200 bracket scan holds column blocks, not the whole

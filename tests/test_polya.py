@@ -144,6 +144,25 @@ class TestProductWidths:
         for have, want in zip(got, row_loop_products(n, x, c)):
             assert np.array_equal(have, want)
 
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_caller_buffers_give_the_bits_of_a_fresh_call(self, scaled):
+        # buffers sized for 500 columns take blocks of 500, 500 and a
+        # narrower last 200, on either side of the row-loop crossover,
+        # and then a single column
+        n, widest = 30, 500
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0.0, 1.0, 1201)
+        c = -rng.uniform(0.0, 1.0, x.size) * np.minimum(x, 1.0 - x) / (n - 1)
+        c[::3] = rng.uniform(0.0, 0.4, c[::3].size)
+        c[::5] = 0.0
+        bufs = (np.empty((n + 1) * widest), np.empty((n + 1) * widest), np.empty(n * widest))
+        for block in (slice(0, 500), slice(500, 1000), slice(1000, 1200), slice(1200, 1201)):
+            got = rising_products(n, x[block], c[block], scaled=scaled, out=bufs)
+            want = rising_products(n, x[block], c[block], scaled=scaled)
+            for have, fresh in zip(got, want):
+                assert have.shape == fresh.shape and np.array_equal(have, fresh)
+            assert np.shares_memory(got[0], bufs[0]) and np.shares_memory(got[1], bufs[1])
+
 
 def log_rising_oracle(x, k, c):
     with mpmath.workdps(50):
@@ -201,6 +220,25 @@ class TestRisingFactorial:
         assert log_rising(0.3, 7, 0.0) == 7 * math.log(0.3)
         # factor 5 of 0.5^(6,-0.1) is 0.5 - 5 * 0.1 = 0 exactly
         assert log_rising(0.5, 6, -0.1) == -np.inf
+
+    @pytest.mark.parametrize("n", [5, 40, 300])
+    def test_fast_paths_give_the_bits_of_the_general_path(self, n):
+        # all falling entries skip the rising/falling selection, and all
+        # selected entries the gather and scatter; a c > 0 or a c = 0 entry
+        # appended sends the same entries down the general path
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.01, 0.99, 300)
+        k = rng.integers(1, n + 1, x.size)
+        c = -rng.uniform(0.0, 1.0, x.size) * np.minimum(x, 1.0 - x) / (n - 1)
+        mixed = np.where(rng.random(x.size) < 0.5, c, rng.uniform(0.0, 0.3, x.size))
+
+        def appended(cs, c_last):
+            return log_rising(np.append(x, 0.5), np.append(k, n), np.append(cs, c_last))[:-1]
+
+        falling = log_rising(x, k, c)
+        assert np.array_equal(falling, appended(c, 0.1))
+        assert np.array_equal(falling, appended(c, 0.0))
+        assert np.array_equal(log_rising(x, k, mixed), appended(mixed, 0.0))
 
     def test_vectorized_over_broadcast_arguments(self):
         xs = np.array([0.2, 0.5, 0.9])
