@@ -253,18 +253,13 @@ def log_rising(x, k, c) -> np.ndarray:
     kf = k.astype(float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lx = np.log(x)
+        out = np.where(k > 0, kf * lx, 0.0)
         u = x / np.abs(c)
-        # u = inf: c = 0, or |c| so small that every log1p(i c/x) rounds to 0
-        sel = (k > 0) & (x > 0.0) & np.isfinite(u)
-        every = sel.size > 0 and sel.all()
-        if not every:
-            out = np.where(k > 0, kf * lx, 0.0)
-    if every:  # nothing to gather or scatter
-        xs, ks, cs, u, lx = (np.ravel(a) for a in (x, kf, c, u, lx))
-    elif sel.any():
-        xs, ks, cs, u, lx = x[sel], kf[sel], c[sel], u[sel], lx[sel]
-    else:
+    # u = inf: c = 0, or |c| so small that every log1p(i c/x) rounds to 0
+    sel = (k > 0) & (x > 0.0) & np.isfinite(u)
+    if not np.any(sel):
         return out
+    xs, ks, cs, u, lx = x[sel], kf[sel], c[sel], u[sel], lx[sel]
     # Falling (c < 0): the run i < m ends at base u - m + 1 >= _STIRLING_MIN,
     # the factors i = m..k-1 are exact.  Rising: factors i < j are exact,
     # the run i = j..k-1 starts at u + j.
@@ -288,8 +283,6 @@ def log_rising(x, k, c) -> np.ndarray:
             cols = np.nonzero(e < count)[0]
             factor = xs[cols] + (lo[cols] + e) * cs[cols]
             val[cols] += np.log(np.maximum(factor, 0.0))
-    if every:
-        return val.reshape(x.shape)
     out[sel] = val
     return out
 

@@ -222,23 +222,15 @@ class TestRisingFactorial:
         assert log_rising(0.5, 6, -0.1) == -np.inf
 
     @pytest.mark.parametrize("n", [5, 40, 300])
-    def test_fast_paths_give_the_bits_of_the_general_path(self, n):
-        # all falling entries skip the rising/falling selection, and all
-        # selected entries the gather and scatter; a c > 0 or a c = 0 entry
-        # appended sends the same entries down the general path
+    def test_fast_path_gives_the_bits_of_the_general_path(self, n):
+        # all falling entries skip the rising/falling selection; a c > 0
+        # entry appended sends the same entries down the general path
         rng = np.random.default_rng(n)
         x = rng.uniform(0.01, 0.99, 300)
         k = rng.integers(1, n + 1, x.size)
         c = -rng.uniform(0.0, 1.0, x.size) * np.minimum(x, 1.0 - x) / (n - 1)
-        mixed = np.where(rng.random(x.size) < 0.5, c, rng.uniform(0.0, 0.3, x.size))
-
-        def appended(cs, c_last):
-            return log_rising(np.append(x, 0.5), np.append(k, n), np.append(cs, c_last))[:-1]
-
-        falling = log_rising(x, k, c)
-        assert np.array_equal(falling, appended(c, 0.1))
-        assert np.array_equal(falling, appended(c, 0.0))
-        assert np.array_equal(log_rising(x, k, mixed), appended(mixed, 0.0))
+        appended = log_rising(np.append(x, 0.5), np.append(k, n), np.append(c, 0.1))
+        assert np.array_equal(log_rising(x, k, c), appended[:-1])
 
     def test_vectorized_over_broadcast_arguments(self):
         xs = np.array([0.2, 0.5, 0.9])
