@@ -57,7 +57,7 @@ from .polya import (
     validate_sweep,
 )
 from .reports import (BREAKPOINT_OFFSET, GridSpec, ScanReport, VerificationReport, _check_cells,
-                      _parse_n_range)
+                      _parse_n_range, _RefinedGrid)
 
 __all__ = [
     "f_n_c",
@@ -111,6 +111,18 @@ def bracket_jumps(n: int) -> list[float]:
     return sorted(pts)
 
 
+def _truncation_index(n: int, x):
+    """F_n^c's truncation index r = ]n x - sqrt(n)[ capped at n - 1, and -1
+    where F_n^c is 0: an int for a float x, integers shaped like x for an
+    array.  A float x <= 1/sqrt(n) skips the strict floor, which gives -1
+    there too (n x - sqrt(n) is then at most a few ulps above 0, which it
+    snaps)."""
+    root = math.sqrt(n)
+    if isinstance(x, float):
+        return min(strict_floor_bracket(n * x - root), n - 1) if x > 1.0 / root else -1
+    return np.clip(strict_floor_bracket(n * x - root), -1, n - 1)
+
+
 def f_n_c(n: int, x: float, c: float) -> float:
     """The truncated-first-moment function F_n^c at a single point: the
     Kozniewska closed form of
@@ -120,10 +132,9 @@ def f_n_c(n: int, x: float, c: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0,1], got {x}")
     params = PolyaParams(n, x, 1.0 - x, c)
-    if x > 1.0 / math.sqrt(n):
-        r = strict_floor_bracket(n * x - math.sqrt(n))
-        if r >= 0:
-            return truncated_first_moment(params, min(r, n - 1))
+    r = _truncation_index(n, x)
+    if r >= 0:
+        return truncated_first_moment(params, r)
     validate(params)
     return 0.0
 
@@ -139,15 +150,13 @@ def f_n_c_curve(n: int, xs: np.ndarray, cs) -> np.ndarray:
         raise ValueError(f"F_n^c requires n > 1, got {n}")
     xs = np.asarray(xs, dtype=float)
     cs = np.broadcast_to(np.asarray(cs, dtype=float), xs.shape)
-    r = strict_floor_bracket(np.asarray(n * xs - math.sqrt(n)))  # 0-d xs: still an array
-    active = (xs > 1.0 / math.sqrt(n)) & (r >= 0)
+    r = np.asarray(_truncation_index(n, xs))  # 0-d xs: still an array
+    active = r >= 0
     out = np.zeros_like(xs)
-    if not np.any(active):
-        return out
     x = xs[active]
     c = cs[active]
     validate_sweep(n, x, c)
-    rr = np.minimum(r[active], n - 1)
+    rr = r[active]
     out[active] = np.exp(
         binomial_row(n - 1, log=True)[rr]
         + log_rising(x, rr + 1, c)
@@ -304,13 +313,15 @@ def scan_sup(
         raise ValueError(f"unknown bound {bound!r}; use one of {', '.join(BOUNDS)}")
     curves = _map_over_n(partial(scan_curve, c_mode=c_mode, grid=grid, bound=bound), ns, workers)
     meta = {"c_mode": c_mode, "n_range": [ns[0], ns[-1]], "bound": bound}
-    return ScanReport.from_curves(zip(ns, curves), grid, meta, curves_csv)
+    return ScanReport.from_curves(zip(ns, curves), _RefinedGrid(grid.points), meta, curves_csv)
 
 
 def _rmax(n: int, xs: np.ndarray) -> np.ndarray:
-    """Largest integer r <= n x - sqrt(n) (up to 1e-12), capped at n - 1;
-    negative where no r qualifies."""
-    return np.minimum(np.floor(n * xs - math.sqrt(n) + 1e-12).astype(int), n - 1)
+    """Largest integer r <= n x - sqrt(n), capped at n - 1; negative where no
+    r qualifies.  The non-strict floor of :func:`_truncation_index`'s rule,
+    floor(a) = -]-a[ - 1, so a within the strict floor's snap of an integer
+    counts as that integer."""
+    return np.minimum(-strict_floor_bracket(math.sqrt(n) - n * xs) - 1, n - 1)
 
 
 def _lemma_log_ratio(n: int, r: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -488,12 +499,11 @@ class _KozniewskaSweep(_Sweep):
         # Reflection: the tail over {k : x - k/n < -1/sqrt(n)} rewritten
         # through k = n - k' must equal F_n^c(1-x), here from the log-space
         # kernel that the scans run.  The strict threshold is realized by
-        # the snapped bracket r' = ]n(1-x) - sqrt(n)[, taken per grid point.
-        # x is nondecreasing, so r' is nonincreasing: the active cells are a
+        # F_n^c's truncation index r' at 1 - x, taken per grid point.  x is
+        # nondecreasing, so r' is nonincreasing: the active cells are a
         # prefix of the block, and its first cell has the largest r'.
-        rp = strict_floor_bracket(n * (1.0 - xb) - math.sqrt(n))
-        active = (1.0 - xb > 1.0 / math.sqrt(n)) & (rp >= 0)
-        rr = np.repeat(np.minimum(rp[active], n - 1), cs)
+        rp = _truncation_index(n, 1.0 - xb)
+        rr = np.repeat(rp[rp >= 0], cs)
         tail = np.zeros_like(X)
         if rr.size:
             a, top = rr.size, int(rr[0]) + 1

@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import analysis, operators
-from .reports import GridSpec, dump_json, write_curves_csv
+from .reports import SCHEMA_VERSION, GridSpec, dump_json, write_curves_csv
 
 DEFAULT_POINTS = 10001
 DEFAULT_C_SAMPLES = 21
@@ -177,7 +177,7 @@ def cmd_verify(lemma, kozniewska, n6, conjecture, n_range, points, c_samples, ou
     if n6:  # after the lemma and Kozniewska reports, before the conjecture's
         reports.insert(len(reports) - conjecture, analysis.n6_case_check())
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "kind": "verification-suite",
         "reports": [r.to_json_dict() for r in reports],
     }
@@ -211,7 +211,7 @@ def cmd_compare(fn, fn_csv, n, points, out):
 
 
 def _error_object(kind: str, message: str) -> str:
-    return json.dumps({"schema": 1, "kind": "error", "error": kind, "message": message},
+    return json.dumps({"schema": SCHEMA_VERSION, "kind": "error", "error": kind, "message": message},
                       sort_keys=True)
 
 

@@ -15,6 +15,7 @@ c < 0 removes weight after each draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +72,13 @@ class PolyaParams:
 
 
 def validate(params: PolyaParams) -> None:
-    """Accept iff a,b >= 0, a+b > 0 and both a+(n-1)c and b+(n-1)c are >= 0.
+    """Accept iff a,b >= 0, a+b > 0, (n-1)c is finite and both a+(n-1)c and
+    b+(n-1)c are >= 0.
 
     Equality is accepted within -BOUNDARY_SLACK; the boundary is where the
     variance-minimizing replacement profile lives.  Rejections name the
-    violated inequality and its numeric slack.
+    violated inequality and its numeric slack.  A c so large that (n-1)c
+    overflows would turn the rising factorials into inf / inf.
     """
     n, a, b, c = params.n, params.a, params.b, params.c
     if n < 1:
@@ -84,12 +87,15 @@ def validate(params: PolyaParams) -> None:
         raise AdmissibilityError(f"initial weights must be nonnegative, got a={a}, b={b}")
     if a + b <= 0:
         raise AdmissibilityError(f"a + b must be positive, got {a + b}")
-    lhs_a = a + (n - 1) * c
+    nc = (n - 1) * c
+    if not math.isfinite(nc):
+        raise AdmissibilityError(f"(n-1)c = {nc} is not finite for n={n}, c={c}")
+    lhs_a = a + nc
     if lhs_a < -BOUNDARY_SLACK:
         raise AdmissibilityError(
             f"a + (n-1)c = {lhs_a} < 0 (slack {-BOUNDARY_SLACK}) for a={a}, n={n}, c={c}"
         )
-    lhs_b = b + (n - 1) * c
+    lhs_b = b + nc
     if lhs_b < -BOUNDARY_SLACK:
         raise AdmissibilityError(
             f"b + (n-1)c = {lhs_b} < 0 (slack {-BOUNDARY_SLACK}) for b={b}, n={n}, c={c}"
@@ -98,6 +104,10 @@ def validate(params: PolyaParams) -> None:
 
 def validate_sweep(n: int, x: np.ndarray, c: np.ndarray) -> None:
     """:func:`validate` for every column of the family (n, x, 1-x, c)."""
+    # Rounding is monotone, so every (n-1)c is finite iff (n-1) max|c| is;
+    # taken in Python floats, an overflow is an inf and not a warning.
+    if not math.isfinite((n - 1) * float(np.abs(c).max(initial=0.0))):
+        raise AdmissibilityError(f"(n-1)c is not finite somewhere in the sweep, n={n}")
     lhs = np.minimum(x, 1.0 - x) + (n - 1) * c
     if np.any(lhs < -BOUNDARY_SLACK):
         raise AdmissibilityError(

@@ -52,12 +52,8 @@ def _parse_n_range(n_range: Iterable[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Deterministic 1-D evaluation grid on [0,1].
-
-    points is the number of uniform base grid points; scanners add samples
-    BREAKPOINT_OFFSET inside each half-open piece of the scanned function,
-    which reports record as ``refine_breakpoints``.
-    """
+    """Deterministic 1-D evaluation grid on [0,1] with ``points`` uniform
+    points.  The Sikkema scans refine it at jumps (:class:`_RefinedGrid`)."""
 
     points: int = 10001
 
@@ -66,11 +62,17 @@ class GridSpec:
             raise ValueError(f"grid needs at least 2 points, got {self.points}")
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "points": self.points,
-            "refine_breakpoints": True,
-            "breakpoint_offset": BREAKPOINT_OFFSET,
-        }
+        return {"points": self.points}
+
+
+class _RefinedGrid(GridSpec):
+    """The grid of a Sikkema sup scan: the uniform points plus samples
+    BREAKPOINT_OFFSET inside each half-open piece of the scanned function,
+    which its report records."""
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {**super().to_json_dict(), "refine_breakpoints": True,
+                "breakpoint_offset": BREAKPOINT_OFFSET}
 
 
 @dataclass(frozen=True)

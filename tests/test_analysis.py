@@ -131,6 +131,12 @@ class TestFnc:
         with pytest.raises(AdmissibilityError):
             f_n_c(6, 0.45, -0.2)
 
+    def test_rejects_a_c_whose_step_overflows(self):
+        with pytest.raises(AdmissibilityError, match="not finite"):
+            f_n_c(5, 0.9, 1e308)
+        with pytest.raises(AdmissibilityError, match="not finite"):
+            f_n_c_curve(5, np.array([0.9]), 1e308)
+
     def test_curve_matches_scalar(self):
         n = 8
         xs = np.linspace(0, 1, 301)
@@ -154,6 +160,48 @@ class TestFnc:
             xs = np.linspace(0, 1, 501)
             gap = f_n_c_curve(n, xs, CProfile("rn").c_at(xs, n)) - f_n_c_curve(n, xs, 0.0)
             assert gap.max() <= 1e-13
+
+
+def index_probe_points(n):
+    """linspace(0, 1, 2001) with each jump of r(x) and the floats either
+    side of it."""
+    jumps = np.array(breakpoints(n))
+    near = [np.nextafter(jumps, 0.0), jumps, np.nextafter(jumps, 1.0)]
+    return np.concatenate([np.linspace(0.0, 1.0, 2001), *near])
+
+
+class TestTruncationIndex:
+    """analysis._truncation_index against the rules it replaced: the strict
+    floor of n x - sqrt(n), the x > 1/sqrt(n) mask, the cap at n - 1."""
+
+    @staticmethod
+    def old_rule(n, xs):
+        r = strict_floor_bracket(n * xs - math.sqrt(n))
+        active = (xs > 1.0 / math.sqrt(n)) & (r >= 0)
+        return np.where(active, np.minimum(r, n - 1), -1)
+
+    def test_array_index_matches_the_old_rule(self):
+        for n in range(2, 201):
+            xs = index_probe_points(n)
+            # x as f_n_c_curve takes it, 1 - x as the Kozniewska reflection
+            for arg in (xs, 1.0 - xs):
+                np.testing.assert_array_equal(analysis._truncation_index(n, arg),
+                                              self.old_rule(n, arg), err_msg=f"n={n}")
+
+    def test_scalar_index_matches_the_array_index(self):
+        for n in range(2, 201):
+            xs = index_probe_points(n)[::3]  # a third of the grid and of the jumps
+            want = analysis._truncation_index(n, xs)
+            got = [analysis._truncation_index(n, float(x)) for x in xs]
+            assert all(type(r) is int for r in got)
+            assert got == want.tolist(), n
+
+    @pytest.mark.parametrize("points", [2, 3, 101, 2001, 10001])
+    def test_rmax_matches_the_old_floor(self, points):
+        xs = np.linspace(0.0, 1.0, points)
+        for n in range(2, 201):
+            old = np.minimum(np.floor(n * xs - math.sqrt(n) + 1e-12).astype(int), n - 1)
+            np.testing.assert_array_equal(analysis._rmax(n, xs), old, err_msg=f"n={n}")
 
 
 class TestSikkemaFunction:

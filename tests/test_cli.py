@@ -79,6 +79,9 @@ class TestScan:
         payload = json.loads(out.read_text())
         assert payload["schema"] == 1
         assert len(payload["per_n"]) == 7
+        # the scan adds points BREAKPOINT_OFFSET either side of every jump
+        assert payload["grid"] == {"points": 2001, "refine_breakpoints": True,
+                                   "breakpoint_offset": reports.BREAKPOINT_OFFSET}
 
     def test_sikkema_rn_n6_bound(self, runner, tmp_path):
         out = tmp_path / "scan.json"
@@ -101,6 +104,7 @@ class TestScan:
         assert res.exit_code == 0
         payload = json.loads(out.read_text())
         assert payload["sup"] <= 1.08970
+        assert payload["grid"] == {"points": 2001}  # a plain linspace, no jump refinement
 
     # (n, sup, argmax_x, omega) of `scan --popoviciu --fn sqrt --op bernstein
     # --n 2..12 --points 2001`, recorded from the deque-loop modulus.
@@ -407,6 +411,19 @@ class TestFailurePaths:
         assert res.stdout == ""
         err = json.loads(res.stderr)  # one JSON object, no warnings ahead of it
         assert err["kind"] == "error" and "finite" in err["message"]
+
+    def test_c_whose_step_overflows_is_rejected_without_warnings(self):
+        res = run_main(["eval", "--op", "polya", "--c", "1e308", "--fn", "sqrt", "--n", "5",
+                        "--x", "0.5"])
+        assert res.returncode == 2 and res.stdout == ""
+        (line,) = res.stderr.splitlines()  # the JSON error alone, no numpy warnings
+        err = json.loads(line)
+        assert err["error"] == "AdmissibilityError" and "not finite" in err["message"]
+        # (n-1)c = 1.99e302 stays finite; the first draw decides every later
+        # one, so the value is (f(0) + f(1))/2
+        res = run_main(["eval", "--op", "polya", "--c", "1e300", "--fn", "sqrt", "--n", "200",
+                        "--x", "0.5"])
+        assert res.returncode == 0 and res.stdout == "0.5\n" and res.stderr == ""
 
     def test_grid_mode_needs_out_before_computing(self, monkeypatch, capsys):
         def boom(*args):

@@ -39,6 +39,14 @@ class TestValidate:
         with pytest.raises(AdmissibilityError):
             validate(PolyaParams(2, 0.0, 0.0, 0.0))
 
+    def test_rejects_a_c_whose_step_overflows(self):
+        # (n-1)c = 4e308 overflows; inf / inf products used to give nan
+        with pytest.raises(AdmissibilityError, match="not finite"):
+            truncated_first_moment(PolyaParams(5, 0.9, 0.1, 1e308), 2)
+        with pytest.raises(AdmissibilityError, match="not finite"):
+            polya.validate_sweep(5, np.array([0.5, 0.9]), np.array([0.1, 1e308]))
+        validate(PolyaParams(200, 0.5, 0.5, 1e300))  # (n-1)c = 1.99e302 is finite
+
 
 class TestPmf:
     def test_binomial_case(self):

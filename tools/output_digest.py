@@ -21,6 +21,9 @@ The commands are taken from ``perfbench/`` and ``tests/`` next to this script:
   c-modes and both bounds, at ``--workers`` 1 and 2;
 * ``verify --lemma --kozniewska --conjecture --n6 --n 2..12`` at ``--workers``
   1 and 2;
+* ``verify --lemma --kozniewska --conjecture --n 195..200 --points 2001
+  --c-samples 5`` at ``--workers`` 1 and 2: n next to ``N_MAX``, where the
+  lemma's right side underflows and its log-ratio branch decides;
 * ``eval --op polya --c 0`` at one point and on a grid, and ``eval --op
   bernstein`` at one point: the c = 0 route of the operator.
 
@@ -71,6 +74,8 @@ EVALS = (
 )
 VERIFY = ["verify", "--lemma", "--kozniewska", "--conjecture", "--n6", "--n", "2..12",
           "--points", "501", "--c-samples", "5"]
+VERIFY_TOP = ["verify", "--lemma", "--kozniewska", "--conjecture", "--n", "195..200",
+              "--points", "2001", "--c-samples", "5"]
 
 
 def _sha(data: bytes) -> str:
@@ -130,8 +135,9 @@ def digest(root: Path) -> None:
                 run(f"curves-csv-{c_mode}-{bound}-w{w}",
                     [*PBOP, *CURVES_SCAN, "--c-mode", c_mode, "--bound", bound, "--workers", w,
                      "--out", "scan.json", "--curves-csv", "curves.csv"], fresh())
-    for w in WORKERS:
-        run(f"verify-w{w}", [*PBOP, *VERIFY, "--workers", w], fresh())
+    for name, cmd in (("verify", VERIFY), ("verify-top", VERIFY_TOP)):
+        for w in WORKERS:
+            run(f"{name}-w{w}", [*PBOP, *cmd, "--workers", w], fresh())
     for i, cmd in enumerate(EVALS):
         run(f"eval[{i}]", [*PBOP, *cmd], fresh())
 
