@@ -112,15 +112,12 @@ def bracket_jumps(n: int) -> list[float]:
 
 
 def _truncation_index(n: int, x):
-    """F_n^c's truncation index r = ]n x - sqrt(n)[ capped at n - 1, and -1
-    where F_n^c is 0: an int for a float x, integers shaped like x for an
-    array.  A float x <= 1/sqrt(n) skips the strict floor, which gives -1
-    there too (n x - sqrt(n) is then at most a few ulps above 0, which it
-    snaps)."""
-    root = math.sqrt(n)
-    if isinstance(x, float):
-        return min(strict_floor_bracket(n * x - root), n - 1) if x > 1.0 / root else -1
-    return np.clip(strict_floor_bracket(n * x - root), -1, n - 1)
+    """F_n^c's truncation index r = ]n x - sqrt(n)[ clipped to -1..n-1, -1
+    being where F_n^c is 0: an int for a float x, integers shaped like x for
+    an array.  For x <= 1/sqrt(n), n x - sqrt(n) is at most a few ulps above
+    0, which the strict floor snaps, so no x needs a branch of its own."""
+    r = strict_floor_bracket(n * x - math.sqrt(n))
+    return max(-1, min(r, n - 1)) if isinstance(r, int) else np.clip(r, -1, n - 1)
 
 
 def f_n_c(n: int, x: float, c: float) -> float:

@@ -29,8 +29,17 @@ def strict_floor_bracket(a):
     Values within 1e-12 max(1, |a|) of an integer m are snapped to m first
     (so the result is m-1); elsewhere this is plain floor.  The tolerance
     absorbs the few ulps of noise picked up when a is computed as
-    n*x - sqrt(n).
+    n*x - sqrt(n).  A Python float or int (np.float64 included) takes the
+    same rule in plain Python, without numpy's cost per call; round()
+    rounds half to even, like np.rint.
     """
+    if isinstance(a, (float, int)):
+        if not math.isfinite(a):
+            raise ValueError(f"strict floor needs finite values, got {a}")
+        nearest = round(a)
+        if abs(a - nearest) <= 1e-12 * max(1.0, abs(a)):
+            return nearest - 1
+        return math.floor(a)
     v = np.asarray(a, dtype=float)
     if not np.isfinite(v).all():
         raise ValueError(f"strict floor needs finite values, got {a}")
@@ -50,23 +59,25 @@ def factorial_ratio(x: float, r: int, n: int, c: float) -> float:
     :func:`~polya_bernstein.polya.log_rising`.  The numerator has n+1
     factors and the denominator n; factor i of the numerator is divided by
     factor i of the denominator so intermediate magnitudes stay near 1, and
-    the single leftover numerator factor is applied last.
+    the single leftover numerator factor is applied last.  The quotients
+    are multiplied by np.multiply.accumulate, whose entry i is entry i-1
+    times quotient i: the order, and so every bit, of a sequential loop.
+    np.prod promises no order (np.sum adds pairwise).
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0,1], got {x}")
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must lie in 0..n-1, got r={r}, n={n}")
-    one_minus_x = 1.0 - x
-    num = [x + i * c for i in range(r + 1)]
-    num += [one_minus_x + j * c for j in range(n - r)]
-    prod = 1.0
-    for i in range(n):
-        den = 1.0 + i * c
-        if den == 0.0:
-            raise ZeroDivisionError(f"denominator factor 1 + {i}*c vanishes for c={c}")
-        prod *= num[i] / den
+    ic = np.arange(n) * c
+    num = np.concatenate((x + ic[: r + 1], (1.0 - x) + ic[: n - r]))
+    den = 1.0 + ic
+    if np.count_nonzero(den) < n:
+        i = int(np.flatnonzero(den == 0.0)[0])
+        raise ZeroDivisionError(f"denominator factor 1 + {i}*c vanishes for c={c}")
     # Each run of factors is monotone in i, so its least factor is an end.
-    return prod * num[n] if min(num[0], num[r], num[r + 1], num[n]) > 0.0 else 0.0
+    if not min(num[0], num[r], num[r + 1], num[n]) > 0.0:
+        return 0.0
+    return float(np.multiply.accumulate(num[:n] / den)[-1] * num[n])
 
 
 @functools.lru_cache(maxsize=512)

@@ -28,6 +28,29 @@ def ratio_oracle(x, r, n, c):
         )
 
 
+def ratio_loop(x, r, n, c):
+    """factorial_ratio as a sequential Python loop over the same float
+    factors: quotient i is numerator factor i over denominator factor i,
+    multiplied in from the left, then the leftover numerator factor."""
+    num = [x + i * c for i in range(r + 1)] + [(1.0 - x) + j * c for j in range(n - r)]
+    prod = 1.0
+    for i in range(n):
+        prod *= num[i] / (1.0 + i * c)
+    return prod * num[n] if min(num[0], num[r], num[r + 1], num[n]) > 0.0 else 0.0
+
+
+@st.composite
+def loop_cases(draw):
+    """(x, r, n, c) with n up to 200 and c from the admissibility boundary
+    up to 0.05, the boundary itself and c = 0 included."""
+    x = draw(st.floats(min_value=0.0, max_value=1.0))
+    n = draw(st.integers(min_value=2, max_value=200))
+    r = draw(st.integers(min_value=0, max_value=n - 1))
+    lo = -min(x, 1 - x) / (n - 1)
+    c = draw(st.one_of(st.just(0.0), st.just(lo), st.floats(min_value=lo, max_value=0.05)))
+    return x, r, n, c
+
+
 @st.composite
 def ratio_cases(draw):
     """(x, r, n, c) with c between the admissibility boundary and 0."""
@@ -40,13 +63,14 @@ def ratio_cases(draw):
 
 def check_strict_floor(cases):
     """strict_floor_bracket on each (a, k) case, one scalar at a time (a
-    float, a numpy scalar, a 0-d array) and on all of them as one array."""
+    float, a numpy scalar, an int where a is integral, a 0-d array) and on
+    all of them as one array."""
     a = np.array([a for a, _ in cases])
     want = [k for _, k in cases]
     got = strict_floor_bracket(a)
     assert got.dtype.kind == "i" and got.tolist() == want
     for ai, k in cases:
-        for scalar in (ai, np.float64(ai)):
+        for scalar in (ai, np.float64(ai)) + ((int(ai),) if ai == int(ai) else ()):
             got = strict_floor_bracket(scalar)
             assert type(got) is int and got == k
         got = strict_floor_bracket(np.asarray(ai))
@@ -84,6 +108,19 @@ class TestStrictFloorBracket:
         a_eff = round(a) if abs(a - round(a)) <= 1e-12 * max(1, abs(a)) else a
         for k in (strict_floor_bracket(a), int(strict_floor_bracket(np.array([a]))[0])):
             assert k < a_eff <= k + 1
+
+    @given(a=st.one_of(
+        st.floats(min_value=-1e6, max_value=1e6),
+        # integers moved by up to twice the snap tolerance either way
+        st.builds(
+            lambda k, j: k + j * 1e-13 * max(1, abs(k)),
+            st.integers(min_value=-10**6, max_value=10**6),
+            st.integers(min_value=-20, max_value=20),
+        ),
+    ))
+    def test_scalar_rule_is_the_array_rule(self, a):
+        got = strict_floor_bracket(a)
+        assert type(got) is int and got == strict_floor_bracket(np.array([a]))[0]
 
     @given(a=st.floats(min_value=-50, max_value=50))
     def test_reflection_identity(self, a):
@@ -124,9 +161,25 @@ class TestFactorialRatio:
         got = factorial_ratio(x, 11, 12, c)
         assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
+    @example(case=(0.0, 0, 200, 0.0))
+    @example(case=(1.0, 199, 200, 0.0))
+    @example(case=(0.1, 11, 12, -0.1 / 11))
+    @given(case=loop_cases())
+    def test_bit_identical_to_the_sequential_loop(self, case):
+        want = ratio_loop(*case)
+        got = factorial_ratio(*case)
+        assert type(got) is float and got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
     def test_rejects_vanishing_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            factorial_ratio(0.5, 1, 3, -0.5)
+        # 1 + i*c is exactly 0 at i = -1/c, and the error names that i;
+        # pytest turns a numpy divide warning into an error.
+        for x, r, n, c, i in [
+            (0.5, 1, 3, -0.5, 2), (0.5, 0, 6, -0.5, 2), (0.5, 1, 5, -1 / 3, 3), (0.5, 3, 40, -0.25, 4),
+        ]:
+            assert 1.0 + i * c == 0.0
+            with pytest.raises(ZeroDivisionError, match=rf"^denominator factor 1 \+ {i}\*c vanishes"):
+                factorial_ratio(x, r, n, c)
 
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
