@@ -85,30 +85,18 @@ BLOCK_BYTES = 2 << 20
 
 
 def breakpoints(n: int) -> list[float]:
-    """Jump locations of r(x) = ]n x - sqrt(n)[ inside (0, 1)."""
-    root = math.sqrt(n)
-    pts = []
-    k = 0
-    while True:
-        b = 1.0 / root + k / n
-        if b >= 1.0:
-            break
-        pts.append(b)
-        k += 1
-    return pts
+    """Jump locations of r(x) = ]n x - sqrt(n)[ inside (0, 1), ascending."""
+    pts = 1.0 / math.sqrt(n) + np.arange(n) / n
+    return pts[pts < 1.0].tolist()
 
 
 def bracket_jumps(n: int) -> list[float]:
     """Jump locations x = k/n +- m/sqrt(n) (m >= 1) of the brackets
     ]sqrt(n) |x - k/n|[ inside (0, 1), sorted."""
-    root = math.sqrt(n)
-    pts = set()
-    for k in range(n + 1):
-        for m in range(1, math.isqrt(n) + 1):
-            for p in (k / n - m / root, k / n + m / root):
-                if 0.0 < p < 1.0:
-                    pts.add(p)
-    return sorted(pts)
+    k = (np.arange(n + 1) / n)[:, None]
+    m = np.arange(1, math.isqrt(n) + 1) / math.sqrt(n)
+    pts = np.concatenate([k - m, k + m], axis=None)
+    return np.unique(pts[(pts > 0.0) & (pts < 1.0)]).tolist()
 
 
 def _truncation_index(n: int, x):
@@ -147,12 +135,12 @@ def f_n_c_curve(n: int, xs: np.ndarray, cs) -> np.ndarray:
         raise ValueError(f"F_n^c requires n > 1, got {n}")
     xs = np.asarray(xs, dtype=float)
     cs = np.broadcast_to(np.asarray(cs, dtype=float), xs.shape)
+    validate_sweep(n, xs, cs)
     r = np.asarray(_truncation_index(n, xs))  # 0-d xs: still an array
     active = r >= 0
     out = np.zeros_like(xs)
     x = xs[active]
     c = cs[active]
-    validate_sweep(n, x, c)
     rr = r[active]
     out[active] = np.exp(
         binomial_row(n - 1, log=True)[rr]
@@ -192,12 +180,8 @@ def _sym_scan_grid(n: int, grid: GridSpec, jumps: Sequence[float]) -> np.ndarray
     grid.points points.
     """
     base = np.linspace(0.0, 1.0, grid.points)
-    extra = np.array([
-        p
-        for b in jumps
-        for p in (b - BREAKPOINT_OFFSET, b, b + BREAKPOINT_OFFSET)
-        if 0.0 <= p <= 1.0
-    ])
+    extra = np.add.outer(jumps, (-BREAKPOINT_OFFSET, 0.0, BREAKPOINT_OFFSET)).ravel()
+    extra = extra[(extra >= 0.0) & (extra <= 1.0)]
     folded = np.where(extra >= 0.5, extra, 1.0 - extra)
     upper = np.unique(np.concatenate([base[base >= 0.5], folded]))
     return np.unique(np.concatenate([1.0 - upper, upper]))

@@ -24,7 +24,8 @@ __all__ = [
 def strict_floor_bracket(a):
     """Largest integer strictly smaller than a, i.e. the k with k < a <= k+1,
     elementwise over arrays: an int for a scalar, an int array for an array
-    (0-d included).  Non-finite values raise ValueError.
+    (0-d included).  NaN, +-inf and |a| >= 2**53, where a - 1 need not be
+    a float, raise ValueError.
 
     Values within 1e-12 max(1, |a|) of an integer m are snapped to m first
     (so the result is m-1); elsewhere this is plain floor.  The tolerance
@@ -34,15 +35,15 @@ def strict_floor_bracket(a):
     rounds half to even, like np.rint.
     """
     if isinstance(a, (float, int)):
-        if not math.isfinite(a):
-            raise ValueError(f"strict floor needs finite values, got {a}")
+        if not abs(a) < 2**53:
+            raise ValueError(f"strict floor needs |a| < 2**53, got {a}")
         nearest = round(a)
         if abs(a - nearest) <= 1e-12 * max(1.0, abs(a)):
             return nearest - 1
         return math.floor(a)
     v = np.asarray(a, dtype=float)
-    if not np.isfinite(v).all():
-        raise ValueError(f"strict floor needs finite values, got {a}")
+    if not (np.abs(v) < 2**53).all():
+        raise ValueError(f"strict floor needs |a| < 2**53, got {a}")
     v = v[()]  # a numpy scalar for scalar input: faster
     nearest = np.rint(v)
     snapped = np.abs(v - nearest) <= 1e-12 * np.maximum(1.0, np.abs(v))

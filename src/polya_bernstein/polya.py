@@ -104,6 +104,9 @@ def validate(params: PolyaParams) -> None:
 
 def validate_sweep(n: int, x: np.ndarray, c: np.ndarray) -> None:
     """:func:`validate` for every column of the family (n, x, 1-x, c)."""
+    if n < 1:
+        raise AdmissibilityError(f"n must be a positive integer, got {n}")
+    _check_unit_interval(x)
     # Rounding is monotone, so every (n-1)c is finite iff (n-1) max|c| is;
     # taken in Python floats, an overflow is an inf and not a warning.
     if not math.isfinite((n - 1) * float(np.abs(c).max(initial=0.0))):
@@ -196,7 +199,7 @@ def _pmf_from_products(cum_a: np.ndarray, cum_b: np.ndarray, den: np.ndarray) ->
 
 
 def _check_unit_interval(x: np.ndarray) -> None:
-    if not ((x >= -BOUNDARY_SLACK) & (x <= 1 + BOUNDARY_SLACK)).all():  # NaN fails
+    if not ((x >= 0.0) & (x <= 1.0)).all():  # NaN fails
         raise AdmissibilityError("x must lie in [0,1]")
 
 
@@ -210,7 +213,6 @@ def pmf_matrix(n: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     c = np.broadcast_to(np.asarray(c, dtype=float), x.shape)
-    _check_unit_interval(x)
     probs = _pmf_from_products(*rising_products(n, x, c, scaled=True))
     if not np.isfinite(probs).all():
         raise ArithmeticError(f"pmf entry overflows for n={n}")

@@ -30,7 +30,7 @@ from polya_bernstein.polya import (
     pmf,
     rising_products,
 )
-from polya_bernstein.reports import GridSpec, ScanReport, dump_json, write_curves_csv
+from polya_bernstein.reports import BREAKPOINT_OFFSET, GridSpec, ScanReport, dump_json, write_curves_csv
 
 
 def brute_tail_sum(n, x, c):
@@ -145,6 +145,14 @@ class TestFnc:
         for j in range(0, 301, 7):
             assert curve[j] == pytest.approx(f_n_c(n, float(xs[j]), float(cs[j])), abs=1e-14)
 
+    @pytest.mark.parametrize("n, x, c", [(5, 1.5, 1.0), (5, -0.5, 0.0), (5, 0.1, -0.5)])
+    def test_curve_rejects_what_the_point_rejects(self, n, x, c):
+        # x outside [0, 1], and an inadmissible c where F_n^c is 0
+        with pytest.raises(ValueError):
+            f_n_c(n, x, c)
+        with pytest.raises(AdmissibilityError):
+            f_n_c_curve(n, np.array([x]), c)
+
     def test_curve_keeps_a_zero_d_grid(self):
         got = f_n_c_curve(6, np.asarray(0.7), 0.0)
         assert got.shape == () and float(got) == pytest.approx(f_n_c(6, 0.7, 0.0), rel=1e-13)
@@ -223,6 +231,68 @@ class TestSikkemaFunction:
         bracket_max = _bracket_sum_max(6, 20001)
         assert bracket_max == pytest.approx(1.0898873, abs=2e-4)
         assert rep.sup > bracket_max
+
+
+def loop_breakpoints(n):
+    """The jump set of r(x) as the original while loop built it."""
+    root = math.sqrt(n)
+    pts = []
+    k = 0
+    while True:
+        b = 1.0 / root + k / n
+        if b >= 1.0:
+            break
+        pts.append(b)
+        k += 1
+    return pts
+
+
+def loop_bracket_jumps(n):
+    """The bracket jump set as the original triple loop into a set built it."""
+    root = math.sqrt(n)
+    pts = set()
+    for k in range(n + 1):
+        for m in range(1, math.isqrt(n) + 1):
+            for p in (k / n - m / root, k / n + m / root):
+                if 0.0 < p < 1.0:
+                    pts.add(p)
+    return sorted(pts)
+
+
+def loop_scan_grid(grid, jumps):
+    """_sym_scan_grid with its refinement built point by point."""
+    base = np.linspace(0.0, 1.0, grid.points)
+    extra = np.array([
+        p
+        for b in jumps
+        for p in (b - BREAKPOINT_OFFSET, b, b + BREAKPOINT_OFFSET)
+        if 0.0 <= p <= 1.0
+    ])
+    folded = np.where(extra >= 0.5, extra, 1.0 - extra)
+    upper = np.unique(np.concatenate([base[base >= 0.5], folded]))
+    return np.unique(np.concatenate([1.0 - upper, upper]))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestJumpSets:
+    def test_jump_sets_are_the_loop_sets_bit_for_bit(self):
+        for n in range(1, 201):
+            for got, want in ((breakpoints(n), loop_breakpoints(n)),
+                              (bracket_jumps(n), loop_bracket_jumps(n))):
+                assert type(got) is list and all(type(p) is float for p in got)
+                assert same_bits(got, want), n
+
+    @pytest.mark.parametrize("points", [1000, 1001, 2001, 10001])
+    def test_scan_grids_are_the_loop_grids_bit_for_bit(self, points):
+        grid = GridSpec(points=points)
+        for n in range(2, 201):
+            for jumps in (loop_breakpoints(n), loop_bracket_jumps(n), []):
+                assert same_bits(analysis._sym_scan_grid(n, grid, jumps),
+                                 loop_scan_grid(grid, jumps)), (n, len(jumps))
 
 
 def _bracket_sum_max(n, points):

@@ -95,12 +95,19 @@ class TestStrictFloorBracket:
             (200.0 + 1e-10, 199), (-200.0 - 1e-10, -201),
         ])
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # From 2**53 on, nearest - 1 is not a float: the array route gave
+    # ...992 where the scalar route gave ...993.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     2.0**53 + 2, -(2.0**53 + 2), -2.0**53, 1e19])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
             strict_floor_bracket(bad)
         with pytest.raises(ValueError):
             strict_floor_bracket(np.array([1.5, bad]))
+
+    def test_rejects_a_huge_python_int(self):
+        with pytest.raises(ValueError):
+            strict_floor_bracket(10**400)
 
     @given(a=st.floats(min_value=-100, max_value=100))
     def test_defining_property(self, a):

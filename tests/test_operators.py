@@ -101,12 +101,16 @@ class TestPolyaOperator:
             operator_curve(CONST_ONE, 1030, xs, CProfile("zero"))
 
     def test_zero_profile_rejects_x_outside_the_unit_interval(self):
+        # the rn and constant profiles take the pmf route to the same check
         f = builtin_function("sin-pi")
-        for bad in (-0.1, 1.1, math.nan):
-            with pytest.raises(polya.AdmissibilityError, match=r"x must lie in \[0,1\]"):
-                operator_curve(f, 5, np.array([0.5, bad]), CProfile("zero"))
-            with pytest.raises(ValueError, match=r"x must lie in \[0,1\]"):
-                bernstein_eval(f, 5, bad)
+        for profile in (CProfile("zero"), CProfile("rn"), CProfile("constant", 0.3)):
+            for bad in (-0.1, 1.1, math.nan, 1 + 1e-15, -1e-15):
+                with pytest.raises(polya.AdmissibilityError, match=r"x must lie in \[0,1\]"):
+                    operator_curve(f, 5, np.array([0.5, bad]), profile)
+                with pytest.raises(ValueError, match=r"x must lie in \[0,1\]"):
+                    polya_operator_eval(f, 5, bad, profile)
+        with pytest.raises(ValueError, match=r"x must lie in \[0,1\]"):
+            bernstein_eval(f, 5, 1 + 1e-15)
 
     def test_reproduces_linear(self):
         for profile in (CProfile("zero"), CProfile("rn"), CProfile("constant", 0.3)):

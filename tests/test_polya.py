@@ -121,6 +121,13 @@ class TestPmf:
         with pytest.raises(AdmissibilityError):
             pmf_matrix(4, np.array([0.5]), np.array([-0.4]))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_matrix_rejects_the_n_that_pmf_rejects(self, n):
+        with pytest.raises(AdmissibilityError, match="n must be a positive integer"):
+            pmf(PolyaParams(n, 0.5, 0.5, 0.0))
+        with pytest.raises(AdmissibilityError, match="n must be a positive integer"):
+            pmf_matrix(n, np.array([0.5]), np.array([0.0]))
+
 
 def row_loop_products(n, x, c):
     """The scaled rising products of rising_products, accumulated one row
@@ -201,6 +208,9 @@ class TestRisingFactorial:
     def test_products_reject_inadmissible(self):
         with pytest.raises(AdmissibilityError):
             rising_products(4, np.array([0.5]), np.array([-0.4]))
+        # 1 - x < 0 is a negative weight, which validate refuses
+        with pytest.raises(AdmissibilityError, match=r"x must lie in \[0,1\]"):
+            rising_products(3, np.array([1.5]), np.array([1.0]))
 
     @pytest.mark.parametrize(
         "x, k, c",
