@@ -162,11 +162,14 @@ def sikkema_function(n: int, x: float, c_mode: str = "zero") -> float:
     return 1.0 + math.sqrt(n) * (f_n_c(n, x, c) + f_n_c(n, 1.0 - x, c))
 
 
+_PROFILES = {"zero": CProfile("zero"), "rn": CProfile("rn")}
+
+
 def _profile(c_mode: str) -> CProfile:
     """The replacement profile of a scan's c-mode, "zero" or "rn"."""
     if c_mode not in ("zero", "rn"):
         raise ValueError(f"unknown c-mode {c_mode!r}; use 'zero' or 'rn'")
-    return CProfile(c_mode)
+    return _PROFILES[c_mode]
 
 
 def _sym_scan_grid(n: int, grid: GridSpec, jumps: Sequence[float]) -> np.ndarray:

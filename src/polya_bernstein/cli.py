@@ -163,7 +163,7 @@ def cmd_scan(mode, n_range, c_mode, bound, fn, fn_csv, op, points, out, curves_c
 @click.option("--c-samples", type=click.IntRange(min=1), default=DEFAULT_C_SAMPLES,
               show_default=True)
 @click.option("--out", "out", type=click.Path(), default=None)
-@click.option("--workers", type=int, default=None)
+@click.option("--workers", type=int, default=None, help="parallel workers over n (env PB_WORKERS)")
 def cmd_verify(lemma, kozniewska, n6, conjecture, n_range, points, c_samples, out, workers):
     """Run selected verifications; exit 1 if any non-exploratory check fails."""
     if not (lemma or kozniewska or n6 or conjecture):

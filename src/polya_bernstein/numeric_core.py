@@ -63,22 +63,33 @@ def factorial_ratio(x: float, r: int, n: int, c: float) -> float:
     the single leftover numerator factor is applied last.  The quotients
     are multiplied by np.multiply.accumulate, whose entry i is entry i-1
     times quotient i: the order, and so every bit, of a sequential loop.
-    np.prod promises no order (np.sum adds pairwise).
+    np.prod promises no order (np.sum adds pairwise).  The zero rule and
+    the vanishing-denominator check (ZeroDivisionError, raised first) read
+    end factors in Python floats, so a boundary point makes no numpy call.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0,1], got {x}")
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must lie in 0..n-1, got r={r}, n={n}")
-    ic = np.arange(n) * c
-    num = np.concatenate((x + ic[: r + 1], (1.0 - x) + ic[: n - r]))
-    den = 1.0 + ic
-    if np.count_nonzero(den) < n:
-        i = int(np.flatnonzero(den == 0.0)[0])
-        raise ZeroDivisionError(f"denominator factor 1 + {i}*c vanishes for c={c}")
-    # Each run of factors is monotone in i, so its least factor is an end.
-    if not min(num[0], num[r], num[r + 1], num[n]) > 0.0:
+    # 1 + i*c is >= 1 for c >= 0 and falls with i for c < 0 (rounding is
+    # monotone), so the run needs a scan only if its last factor is not > 0.
+    if not 1.0 + (n - 1) * c > 0.0:
+        den = 1.0 + np.arange(n) * c
+        if not den.all():
+            i = int(np.flatnonzero(den == 0.0)[0])
+            raise ZeroDivisionError(f"denominator factor 1 + {i}*c vanishes for c={c}")
+    # Each run of factors is monotone in i, so its least factor is an end;
+    # 0*c is formed as in the runs (NaN for an infinite c).
+    y = 1.0 - x
+    last = y + (n - r - 1) * c
+    if not min(x + 0 * c, x + r * c, y + 0 * c, last) > 0.0:
         return 0.0
-    return float(np.multiply.accumulate(num[:n] / den)[-1] * num[n])
+    ic = np.arange(n, dtype=float) * c
+    q = x + ic  # x + i*c for i <= r, then (1-x) + j*c
+    np.add(y, ic[: n - r - 1], out=q[r + 1 :])
+    ic += 1.0
+    q /= ic
+    return float(np.multiply.accumulate(q, out=q)[-1] * last)
 
 
 @functools.lru_cache(maxsize=512)
@@ -87,9 +98,9 @@ def binomial_row(n: int, log: bool = False) -> np.ndarray:
     read-only and cached per (n, log).
 
     The coefficients come exact from the integer recurrence
-    C(n, k+1) = C(n, k) (n-k) // (k+1), run to the middle of the row and
-    mirrored, and are rounded once, so the row
-    equals ``[math.comb(n, k) ...]`` bit for bit.  The log row logs the
+    C(n, k+1) = C(n, k) (n-k) // (k+1), run to the middle of the row,
+    and are rounded (or logged) once, then mirrored, so the row equals
+    ``[math.comb(n, k) ...]`` bit for bit.  The log row logs the
     exact integers, not the rounded floats (np.log of the float row can
     move a last bit), and has no size cap; the float row raises
     OverflowError for n > 1029, where C(n, n/2) passes the float range,
@@ -100,7 +111,7 @@ def binomial_row(n: int, log: bool = False) -> np.ndarray:
     row = [1]
     for k in range(n // 2):
         row.append(row[-1] * (n - k) // (k + 1))
-    row += row[: n - n // 2][::-1]
-    out = np.array([math.log(v) for v in row] if log else row, dtype=float)
+    half = np.array([math.log(v) for v in row] if log else row, dtype=float)
+    out = np.concatenate((half, half[: n - n // 2][::-1]))
     out.flags.writeable = False
     return out

@@ -140,20 +140,26 @@ class CProfile:
             )
 
     def c_at(self, x, n: int):
-        if self.kind == "zero":
-            return np.zeros_like(np.asarray(x, dtype=float))
-        if self.kind == "constant":
-            return np.full_like(np.asarray(x, dtype=float), self.value)
+        """c at x: for a float x (np.float64 included) a float, in plain
+        Python with the array route's bits; else an array shaped like x."""
+        if self.kind != "rn":
+            c = 0.0 if self.kind == "zero" else float(self.value)
+            return c if isinstance(x, float) else np.full_like(np.asarray(x, dtype=float), c)
         if n <= 1:
             raise ValueError(f"rn profile requires n > 1, got n={n}")
+        if isinstance(x, float):
+            return -min(x, 1.0 - x) / (n - 1)
         x = np.asarray(x, dtype=float)
         return -np.minimum(x, 1.0 - x) / (n - 1)
+
+
+_ZERO = CProfile("zero")
 
 
 def bernstein_eval(f: FunctionSpec, n: int, x: float) -> float:
     """Classical Bernstein polynomial sum f(k/n) C(n,k) x^k (1-x)^(n-k):
     the zero-profile point of :func:`operator_curve`."""
-    return polya_operator_eval(f, n, x, CProfile("zero"))
+    return polya_operator_eval(f, n, x, _ZERO)
 
 
 def polya_operator_eval(f: FunctionSpec, n: int, x: float, profile: CProfile) -> float:
@@ -173,9 +179,8 @@ def operator_curve(f: FunctionSpec, n: int, xs: np.ndarray, profile: CProfile) -
         raise ValueError(f"n must be >= 1, got {n}")
     xs = np.asarray(xs, dtype=float)
     _check_cells((n + 1) * xs.size, "an operator curve")
-    cs = np.asarray(profile.c_at(xs, n), dtype=float)
     k = np.arange(n + 1, dtype=float)
-    if np.count_nonzero(cs):
+    if profile.kind != "zero" and np.count_nonzero(cs := profile.c_at(xs, n)):
         probs = pmf_matrix(n, xs, cs)
     else:
         _check_unit_interval(xs)

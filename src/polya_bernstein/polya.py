@@ -83,7 +83,7 @@ def validate(params: PolyaParams) -> None:
     n, a, b, c = params.n, params.a, params.b, params.c
     if n < 1:
         raise AdmissibilityError(f"n must be a positive integer, got {n}")
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):  # NaN fails
         raise AdmissibilityError(f"initial weights must be nonnegative, got a={a}, b={b}")
     if a + b <= 0:
         raise AdmissibilityError(f"a + b must be positive, got {a + b}")
@@ -111,8 +111,9 @@ def validate_sweep(n: int, x: np.ndarray, c: np.ndarray) -> None:
     # taken in Python floats, an overflow is an inf and not a warning.
     if not math.isfinite((n - 1) * float(np.abs(c).max(initial=0.0))):
         raise AdmissibilityError(f"(n-1)c is not finite somewhere in the sweep, n={n}")
-    lhs = np.minimum(x, 1.0 - x) + (n - 1) * c
-    if np.any(lhs < -BOUNDARY_SLACK):
+    lhs = np.minimum(x, 1.0 - x)
+    lhs += (n - 1) * c
+    if lhs.min(initial=0.0) < -BOUNDARY_SLACK:
         raise AdmissibilityError(
             f"min{{x,1-x}} + (n-1)c = {lhs.min()} < 0 somewhere in the sweep"
         )
@@ -167,12 +168,12 @@ def rising_products(n: int, x: np.ndarray, c: np.ndarray, scaled: bool = False, 
     fd = np.add(1.0, ic, out=ic)                   # factor i of 1^(n,c)
     if not fd.all():
         raise ZeroDivisionError("denominator factor 1 + i*c vanishes in the sweep")
-    if scaled and np.any(c > 0.0):
+    if scaled and (c > 0.0).any():
         scale = np.where(c > 0.0, np.exp2(-np.rint(np.log2(fd).mean(axis=0))), 1.0)
         cum_a[1:] *= scale
         cum_b[1:] *= scale
         fd *= scale
-    den = np.prod(fd, axis=0)
+    den = fd.prod(axis=0)
     _accumulate_rows(np.multiply, cum_a)
     _accumulate_rows(np.multiply, cum_b)
     return cum_a, cum_b, den
@@ -199,27 +200,31 @@ def _pmf_from_products(cum_a: np.ndarray, cum_b: np.ndarray, den: np.ndarray) ->
 
 
 def _check_unit_interval(x: np.ndarray) -> None:
-    if not ((x >= 0.0) & (x <= 1.0)).all():  # NaN fails
+    if not (x.min(initial=0.0) >= 0.0 and x.max(initial=1.0) <= 1.0):  # NaN fails
         raise AdmissibilityError("x must lie in [0,1]")
 
 
 def pmf_matrix(n: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Vectorized pmf for parameter family (n, x, 1-x, c), shape (n+1, len(x)).
 
-    x and c are broadcast together; every column is the pmf of
+    c is broadcast to the shape of x; every column is the pmf of
     PolyaParams(n, x_j, 1-x_j, c_j), clipped to [0, 1] after a check that
     every entry is finite and none is below -1e-15.  Every column's sum is
     then checked against 1, not forced.  :func:`pmf` is its one-column view.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    c = np.broadcast_to(np.asarray(c, dtype=float), x.shape)
+    c = np.full(x.shape, c, dtype=float)
     probs = _pmf_from_products(*rising_products(n, x, c, scaled=True))
-    if not np.isfinite(probs).all():
+    lo, hi = probs.min(), probs.max()  # a NaN entry makes both NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ArithmeticError(f"pmf entry overflows for n={n}")
-    if probs.min() < -_NEG_TOL:
-        raise ArithmeticError(f"pmf entry {probs.min()} below rounding tolerance")
-    np.clip(probs, 0.0, 1.0, out=probs)
-    drift = np.abs(probs.sum(axis=0) - 1.0).max()
+    if lo < -_NEG_TOL:
+        raise ArithmeticError(f"pmf entry {lo} below rounding tolerance")
+    probs.clip(0.0, 1.0, out=probs)
+    # max |t - 1| over the column sums t: subtraction is monotone, so it
+    # is t - 1 at the largest t or 1 - t at the least.
+    total = probs.sum(axis=0)
+    drift = max(total.max() - 1.0, 1.0 - total.min())
     if drift > _SUM_TOL:
         raise ArithmeticError(f"pmf sum drifts from 1 by {drift} for n={n}")
     return probs

@@ -134,20 +134,21 @@ class TestPolyaOperator:
                         assert polya_operator_eval(f, n, x, profile) == want, (f.name, n, x)
 
     def test_every_route_checks_the_pmf_sum(self, monkeypatch):
-        # a binomial row 1e-9 too large makes every interior column sum
-        # drift; the point-mass column at x = 0 clips back to 1, so only the
-        # second column of the first call drifts
+        # a binomial row 1e-9 too large or too small makes every interior
+        # column sum drift; a too-large point mass at x = 0 clips back to 1,
+        # so there only the second column of the first call drifts
         true_row = polya.binomial_row
-        monkeypatch.setattr(polya, "binomial_row", lambda n: true_row(n) * (1.0 + 1e-9))
         f = builtin_function("sin-pi")
-        for call in (
-            lambda: pmf_matrix(8, np.array([0.0, 0.3]), np.array([0.0, 0.01])),
-            lambda: pmf(PolyaParams(8, 0.3, 0.7, 0.01)),
-            lambda: operator_curve(f, 8, np.linspace(0.0, 1.0, 5), CProfile("rn")),
-            lambda: polya_operator_eval(f, 8, 0.3, CProfile("rn")),
-        ):
-            with pytest.raises(ArithmeticError, match="drifts"):
-                call()
+        for error in (1e-9, -1e-9):
+            monkeypatch.setattr(polya, "binomial_row", lambda n: true_row(n) * (1.0 + error))
+            for call in (
+                lambda: pmf_matrix(8, np.array([0.0, 0.3]), np.array([0.0, 0.01])),
+                lambda: pmf(PolyaParams(8, 0.3, 0.7, 0.01)),
+                lambda: operator_curve(f, 8, np.linspace(0.0, 1.0, 5), CProfile("rn")),
+                lambda: polya_operator_eval(f, 8, 0.3, CProfile("rn")),
+            ):
+                with pytest.raises(ArithmeticError, match="drifts"):
+                    call()
 
     def test_rejects_negative_constant_profile(self):
         with pytest.raises(ValueError):
@@ -186,6 +187,28 @@ class TestRn:
             want = float(fk @ np.array(pmf_oracle(9, x, -min(x, 1 - x) / 8)))
             assert v == pytest.approx(want, abs=1e-13)
             assert polya_operator_eval(f, 9, x, CProfile("rn")) == pytest.approx(want, abs=1e-13)
+
+
+class TestCProfile:
+    XS = (0.0, -0.0, 1.0, 0.5, 0.1, 1 / 3, math.nextafter(0.5, 1.0), math.ulp(0.0), np.float64(0.7))
+    PROFILES = [CProfile("zero"), CProfile("rn"), CProfile("constant", 0.0), CProfile("constant", 0.03),
+                CProfile("constant", 2)]
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_float_is_bit_identical_to_the_one_element_array(self, profile):
+        # the float route is plain Python; the sign of a zero c counts too
+        for n in range(2, 201):
+            for x in self.XS:
+                got = profile.c_at(x, n)
+                want = profile.c_at(np.array([x]), n)
+                assert isinstance(got, float) and want.shape == (1,)
+                assert np.float64(got).tobytes() == want[0].tobytes(), (profile, n, x)
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_rn_refuses_n_below_two_on_both_routes(self, n):
+        for x in (0.3, np.array([0.3])):
+            with pytest.raises(ValueError, match="requires n > 1"):
+                CProfile("rn").c_at(x, n)
 
 
 class TestModulusOfContinuity:

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polya_bernstein import polya
 from polya_bernstein.polya import (
@@ -17,6 +17,34 @@ from polya_bernstein.polya import (
     truncated_first_moment,
     validate,
 )
+
+
+X_EDGES = (0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), -math.ulp(0.0), math.nan)
+
+
+@st.composite
+def sweep_cases(draw):
+    """(n, x, c) for validate_sweep: x at and just outside the ends of
+    [0, 1], NaN, or inside; c a few ulps either side of the admissibility
+    boundary or of the point where min{x,1-x} + (n-1)c is -BOUNDARY_SLACK,
+    non-finite, so large that (n-1)c overflows, or anything else.  The
+    columns come as a 1-D array, empty included, or as 0-d arrays."""
+    n = draw(st.integers(min_value=0, max_value=300))
+    size = draw(st.integers(min_value=0, max_value=4))
+    xs, cs = [], []
+    for _ in range(size):
+        x = draw(st.one_of(st.sampled_from(X_EDGES), st.floats(min_value=0.0, max_value=1.0)))
+        edges = [math.nan, math.inf, -math.inf, 1e308, -1e308]
+        if n >= 2 and not math.isnan(x):
+            m = min(x, 1.0 - x)
+            for target in (m, m + polya.BOUNDARY_SLACK):
+                c = -target / (n - 1)
+                edges += [c, math.nextafter(c, -1.0), math.nextafter(c, 1.0)]
+        xs.append(x)
+        cs.append(draw(st.one_of(st.sampled_from(edges), st.floats())))
+    if size == 1 and draw(st.booleans()):
+        return n, np.array(xs[0]), np.array(cs[0])
+    return n, np.array(xs, dtype=float), np.array(cs, dtype=float)
 
 
 class TestValidate:
@@ -46,6 +74,33 @@ class TestValidate:
         with pytest.raises(AdmissibilityError, match="not finite"):
             polya.validate_sweep(5, np.array([0.5, 0.9]), np.array([0.1, 1e308]))
         validate(PolyaParams(200, 0.5, 0.5, 1e300))  # (n-1)c = 1.99e302 is finite
+
+    def test_rejects_nan_weights(self):
+        # a NaN a or b is not >= 0; pmf refused it only later, in the sweep
+        for a, b in [(math.nan, 0.5), (0.5, math.nan)]:
+            with pytest.raises(AdmissibilityError, match="nonnegative"):
+                validate(PolyaParams(3, a, b, 0.0))
+
+    # min{x,1-x} + (n-1)c lands exactly on -BOUNDARY_SLACK, which both accept
+    @example(case=(2, np.array([0.0]), np.array([-polya.BOUNDARY_SLACK])))
+    @example(case=(2, np.array([0.5, 1.0]), np.array([0.0, -polya.BOUNDARY_SLACK])))
+    @settings(max_examples=400)
+    @given(case=sweep_cases())
+    def test_sweep_refuses_exactly_what_validate_refuses(self, case):
+        # column j of the sweep is PolyaParams(n, x_j, 1 - x_j, c_j)
+        n, x, c = case
+        want = n < 1
+        for xj, cj in zip(x.ravel().tolist(), c.ravel().tolist()):
+            try:
+                validate(PolyaParams(n, xj, 1.0 - xj, cj))
+            except AdmissibilityError:
+                want = True
+        try:
+            polya.validate_sweep(n, x, c)
+            got = False
+        except AdmissibilityError:
+            got = True
+        assert got == want
 
 
 class TestPmf:
