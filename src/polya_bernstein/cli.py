@@ -217,7 +217,9 @@ def _error_object(kind: str, message: str) -> str:
 
 def main(argv: list[str] | None = None) -> None:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        # An overflow or NaN that no check caught is an error, not a number.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cli.main(args=argv, standalone_mode=False)
     except click.UsageError as exc:
         click.echo(_error_object("usage", exc.format_message()), err=True)
         sys.exit(2)

@@ -20,6 +20,9 @@ __all__ = [
     "binomial_row",
 ]
 
+# How far below 0 rounding can leave a + (n-1)c at c = -min{a,b}/(n-1).
+BOUNDARY_SLACK = 1e-14
+
 
 def strict_floor_bracket(a):
     """Largest integer strictly smaller than a, i.e. the k with k < a <= k+1,
@@ -54,35 +57,40 @@ def strict_floor_bracket(a):
 def factorial_ratio(x: float, r: int, n: int, c: float) -> float:
     """Stabilized evaluation of x^(r+1,c) * (1-x)^(n-r,c) / 1^(n,c).
 
-    Each factor is the float x + i*c, (1-x) + j*c or 1 + i*c.  A numerator
-    factor <= 0 is the admissibility boundary's exact 0, which rounding can
-    leave a few ulps to either side: it makes the result exactly 0, as in
-    :func:`~polya_bernstein.polya.log_rising`.  The numerator has n+1
-    factors and the denominator n; factor i of the numerator is divided by
-    factor i of the denominator so intermediate magnitudes stay near 1, and
-    the single leftover numerator factor is applied last.  The quotients
-    are multiplied by np.multiply.accumulate, whose entry i is entry i-1
-    times quotient i: the order, and so every bit, of a sequential loop.
-    np.prod promises no order (np.sum adds pairwise).  The zero rule and
-    the vanishing-denominator check (ZeroDivisionError, raised first) read
-    end factors in Python floats, so a boundary point makes no numpy call.
+    Each factor is the float x + i*c, (1-x) + j*c or 1 + i*c.  A least
+    numerator factor in [-BOUNDARY_SLACK, 0] is the admissibility
+    boundary's exact 0, left a few ulps to either side by rounding: the
+    result is then exactly 0, as in :func:`~polya_bernstein.polya.log_rising`.
+    A least factor below that, or a non-finite (n-1)c, raises ValueError; a
+    vanishing denominator factor raises ZeroDivisionError first.  These
+    checks read end factors in Python floats, so a boundary point makes no
+    numpy call.  Factor i of the numerator is divided by factor i of the
+    denominator so intermediate magnitudes stay near 1, and the leftover
+    numerator factor is applied last.  np.multiply.accumulate multiplies
+    the quotients in the order, and so to every bit, of a sequential loop;
+    np.prod promises no order (np.sum adds pairwise).
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0,1], got {x}")
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must lie in 0..n-1, got r={r}, n={n}")
+    nc = (n - 1) * c
+    if not math.isfinite(nc):
+        raise ValueError(f"(n-1)c = {nc} is not finite for n={n}, c={c}")
     # 1 + i*c is >= 1 for c >= 0 and falls with i for c < 0 (rounding is
     # monotone), so the run needs a scan only if its last factor is not > 0.
-    if not 1.0 + (n - 1) * c > 0.0:
+    if not 1.0 + nc > 0.0:
         den = 1.0 + np.arange(n) * c
         if not den.all():
             i = int(np.flatnonzero(den == 0.0)[0])
             raise ZeroDivisionError(f"denominator factor 1 + {i}*c vanishes for c={c}")
-    # Each run of factors is monotone in i, so its least factor is an end;
-    # 0*c is formed as in the runs (NaN for an infinite c).
+    # Each run of factors is monotone in i, so its least factor is an end.
     y = 1.0 - x
     last = y + (n - r - 1) * c
-    if not min(x + 0 * c, x + r * c, y + 0 * c, last) > 0.0:
+    least = min(x, x + r * c, y, last)
+    if not least > 0.0:
+        if least < -BOUNDARY_SLACK:
+            raise ValueError(f"numerator factor {least} < 0 (slack {-BOUNDARY_SLACK}) for c={c}")
         return 0.0
     ic = np.arange(n, dtype=float) * c
     q = x + ic  # x + i*c for i <= r, then (1-x) + j*c

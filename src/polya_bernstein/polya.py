@@ -5,8 +5,10 @@ space (:func:`log_rising`) and as cumulative products
 (:func:`rising_products`).
 
 The pmf has one route: :func:`pmf_matrix` builds every column from the
-cumulative products and checks it (finite, no entry below rounding, sum
-1); :func:`pmf` is its one-column view.
+cumulative products and checks it: finite, sum 1, and no entry below
+-2 BOUNDARY_SLACK, as an admitted p_0 or p_n dips at most about the slack
+below 0.  :func:`pmf` is its one-column view.  Only :func:`validate` and
+:func:`validate_sweep` decide admissibility, by one rule.
 
 Parameters (n, a, b, c) describe n draws from an urn with initial white
 weight a, black weight b, and replacement increment c; c = 0 is binomial,
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric_core import binomial_row, factorial_ratio
+from .numeric_core import BOUNDARY_SLACK, binomial_row, factorial_ratio
 
 __all__ = [
     "AdmissibilityError",
@@ -35,10 +37,6 @@ __all__ = [
     "truncated_first_moment",
 ]
 
-# Slack for the boundary case where a + (n-1)c is meant to be exactly 0 but
-# floating evaluation of c = -min{a,b}/(n-1) lands a few ulps below.
-BOUNDARY_SLACK = 1e-14
-
 # Sweeps this wide accumulate their rising products and partial sums row by
 # row, narrower ones in one accumulate call per array.  On 2 vCPUs (numpy
 # 2.4) the two break even near 384 columns at n = 20 and near 450 at
@@ -47,7 +45,9 @@ BOUNDARY_SLACK = 1e-14
 ROW_LOOP_MIN_COLUMNS = 384
 
 _SUM_TOL = 1e-12
-_NEG_TOL = 1e-15
+# One factor of p_0 or p_n, min{x,1-x} + (n-1)c, may be as low as -slack, and
+# the entry then as low as -slack/(1 - 2 slack); every other entry is >= 0.
+_NEG_TOL = 2 * BOUNDARY_SLACK
 
 # log_rising sums Stirling's series from this base u = x/|c| upward and
 # takes the (at most _STIRLING_MIN + 1) factors below it one by one.
@@ -72,13 +72,13 @@ class PolyaParams:
 
 
 def validate(params: PolyaParams) -> None:
-    """Accept iff a,b >= 0, a+b > 0, (n-1)c is finite and both a+(n-1)c and
-    b+(n-1)c are >= 0.
+    """Accept iff a,b >= 0, a+b > 0, (n-1)c is finite and min{a,b} + (n-1)c
+    >= -BOUNDARY_SLACK, the rule :func:`validate_sweep` applies per column.
 
-    Equality is accepted within -BOUNDARY_SLACK; the boundary is where the
-    variance-minimizing replacement profile lives.  Rejections name the
-    violated inequality and its numeric slack.  A c so large that (n-1)c
-    overflows would turn the rising factorials into inf / inf.
+    Rounding is monotone, so the float sum with the smaller weight is the
+    smaller sum.  The slack admits the boundary, where the variance-minimizing
+    profile lives; a rejection names the smaller weight.  A c so large that
+    (n-1)c overflows would turn the rising factorials into inf / inf.
     """
     n, a, b, c = params.n, params.a, params.b, params.c
     if n < 1:
@@ -90,15 +90,10 @@ def validate(params: PolyaParams) -> None:
     nc = (n - 1) * c
     if not math.isfinite(nc):
         raise AdmissibilityError(f"(n-1)c = {nc} is not finite for n={n}, c={c}")
-    lhs_a = a + nc
-    if lhs_a < -BOUNDARY_SLACK:
+    name, w = ("a", a) if a <= b else ("b", b)
+    if w + nc < -BOUNDARY_SLACK:
         raise AdmissibilityError(
-            f"a + (n-1)c = {lhs_a} < 0 (slack {-BOUNDARY_SLACK}) for a={a}, n={n}, c={c}"
-        )
-    lhs_b = b + nc
-    if lhs_b < -BOUNDARY_SLACK:
-        raise AdmissibilityError(
-            f"b + (n-1)c = {lhs_b} < 0 (slack {-BOUNDARY_SLACK}) for b={b}, n={n}, c={c}"
+            f"{name} + (n-1)c = {w + nc} < 0 (slack {-BOUNDARY_SLACK}) for {name}={w}, n={n}, c={c}"
         )
 
 
@@ -114,19 +109,15 @@ def validate_sweep(n: int, x: np.ndarray, c: np.ndarray) -> None:
     lhs = np.minimum(x, 1.0 - x)
     lhs += (n - 1) * c
     if lhs.min(initial=0.0) < -BOUNDARY_SLACK:
-        raise AdmissibilityError(
-            f"min{{x,1-x}} + (n-1)c = {lhs.min()} < 0 somewhere in the sweep"
-        )
+        raise AdmissibilityError(f"min{{x,1-x}} + (n-1)c = {lhs.min()} < 0 somewhere in the sweep")
 
 
 def pmf(params: PolyaParams) -> np.ndarray:
     """Probability mass function, entries k = 0..n.
 
     Entry k is C(n,k) * a^(k,c) * b^(n-k,c) / (a+b)^(n,c).  Parameters are
-    first normalized to a+b = 1 (the pmf is homogeneous of degree 0); the
-    result is then the one column of :func:`pmf_matrix` at x = a, c, so it
-    is built from the same cumulative products as every grid sweep and
-    passes the same checks.
+    normalized to a+b = 1 (the pmf is homogeneous of degree 0), so the result
+    is the one column of :func:`pmf_matrix` at x = a, c, with its checks.
     """
     validate(params)
     total = params.a + params.b
@@ -161,13 +152,11 @@ def rising_products(n: int, x: np.ndarray, c: np.ndarray, scaled: bool = False, 
         cum_a, cum_b = (buf[: (n + 1) * m].reshape(n + 1, m) for buf in out[:2])
         ic = out[2][: n * m].reshape(n, m)
     np.multiply(np.arange(n, dtype=float)[:, None], c[None, :], out=ic)
-    cum_a[0] = 1.0
-    cum_b[0] = 1.0
+    cum_a[0] = cum_b[0] = 1.0
     np.add(x[None, :], ic, out=cum_a[1:])          # factor i of x^(k,c)
     np.add((1.0 - x)[None, :], ic, out=cum_b[1:])  # factor i of (1-x)^(m,c)
+    # >= 1/2 - slack: validate_sweep admits fl((n-1)c), the least i*c
     fd = np.add(1.0, ic, out=ic)                   # factor i of 1^(n,c)
-    if not fd.all():
-        raise ZeroDivisionError("denominator factor 1 + i*c vanishes in the sweep")
     if scaled and (c > 0.0).any():
         scale = np.where(c > 0.0, np.exp2(-np.rint(np.log2(fd).mean(axis=0))), 1.0)
         cum_a[1:] *= scale
@@ -209,12 +198,13 @@ def pmf_matrix(n: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     c is broadcast to the shape of x; every column is the pmf of
     PolyaParams(n, x_j, 1-x_j, c_j), clipped to [0, 1] after a check that
-    every entry is finite and none is below -1e-15.  Every column's sum is
+    every entry is finite and none is below -_NEG_TOL.  Every column's sum is
     then checked against 1, not forced.  :func:`pmf` is its one-column view.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     c = np.full(x.shape, c, dtype=float)
-    probs = _pmf_from_products(*rising_products(n, x, c, scaled=True))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        probs = _pmf_from_products(*rising_products(n, x, c, scaled=True))
     lo, hi = probs.min(), probs.max()  # a NaN entry makes both NaN
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ArithmeticError(f"pmf entry overflows for n={n}")
@@ -332,11 +322,11 @@ def truncated_first_moment(
     n = params.n
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must lie in 0..n-1, got r={r}, n={n}")
-    validate(params)
     if method == "closed":
+        validate(params)
         return float(binomial_row(n - 1)[r]) * factorial_ratio(params.a, r, n, params.c)
     if method == "brute":
-        terms = (params.a - np.arange(r + 1) / n) * pmf(params)[: r + 1]
+        terms = (params.a - np.arange(r + 1) / n) * pmf(params)[: r + 1]  # validates
         # Summed in k order; + 0.0 turns a -0.0 total into 0.0, as a sum
         # started from 0 does.
         return float(np.add.accumulate(terms)[-1]) + 0.0

@@ -153,6 +153,13 @@ class TestFnc:
         with pytest.raises(AdmissibilityError):
             f_n_c_curve(n, np.array([x]), c)
 
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_point_and_curve_refuse_n_below_two(self, n):
+        with pytest.raises(ValueError, match="requires n > 1"):
+            f_n_c(n, 0.7, 0.0)
+        with pytest.raises(ValueError, match="requires n > 1"):
+            f_n_c_curve(n, np.array([0.7]), 0.0)
+
     def test_curve_keeps_a_zero_d_grid(self):
         got = f_n_c_curve(6, np.asarray(0.7), 0.0)
         assert got.shape == () and float(got) == pytest.approx(f_n_c(6, 0.7, 0.0), rel=1e-13)
@@ -410,6 +417,13 @@ class TestScanSup:
             scan_sup([1], "zero", GridSpec(points=2001))
         with pytest.raises(ValueError):
             scan_sup([2], "zero", GridSpec(points=500))
+
+    @pytest.mark.parametrize("bound", ["bogus", "Bracket"])
+    def test_rejects_unknown_bounds(self, bound):
+        with pytest.raises(ValueError, match=f"unknown bound '{bound}'"):
+            scan_sup([2], "zero", GridSpec(points=2001), bound=bound)
+        with pytest.raises(ValueError, match=f"unknown bound '{bound}'"):
+            scan_curve(2, "zero", GridSpec(points=2001), bound)
 
     def test_rejects_c_modes_other_than_zero_and_rn(self):
         xs = np.linspace(0, 1, 11)

@@ -367,6 +367,9 @@ class TestFailurePaths:
             (["compare", "--points", "0", "--out", "{tmp}"], "--points"),
             (["compare", "--points", "1", "--out", "{tmp}"], "--points"),
             (["eval", "--op", "polya", "--x", "0.3"], "--c"),
+            (["eval", "--op", "rn"], "--x or --grid-points"),
+            (["eval", "--op", "rn", "--x", "0.3", "--grid-points", "11", "--out", "{tmp}"],
+             "--x or --grid-points"),
         ],
     )
     def test_eval_and_compare_option_checks(self, tmp_path, capsys, args, complaint):
@@ -377,6 +380,51 @@ class TestFailurePaths:
         assert exc.value.code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "usage" and complaint in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, complaint",
+        [
+            (["eval", "--op", "rn", "--n", "5", "--x", "0.3"], "--fn or --fn-csv"),
+            (["eval", "--op", "rn", "--fn", "sqrt", "--fn-csv", "{table}", "--n", "5", "--x", "0.3"],
+             "--fn or --fn-csv"),
+            (["compare", "--fn", "sqrt", "--n", "1", "--out", "{tmp}"], "n > 1"),
+            (["compare", "--n", "5", "--out", "{tmp}"], "--fn or --fn-csv"),
+        ],
+    )
+    def test_function_source_and_compare_n(self, tmp_path, capsys, args, complaint):
+        out, table = tmp_path / "out.csv", tmp_path / "table.csv"
+        table.write_text("x,fx\n0,0\n1,1\n")
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=out, table=table) for a in args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)  # the whole of stderr is one JSON object
+        assert err["error"] == "usage" and complaint in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, complaint",
+        [
+            # 1000 factors near 1e300: the pmf products overflow
+            (["eval", "--op", "polya", "--fn", "sin-pi", "--x", "0.3", "--n", "1000",
+              "--c", "1e300"], "pmf entry overflows for n=1000"),
+            # values near the float max: the sum over f(k/n) is not finite
+            (["eval", "--op", "rn", "--fn-csv", "{table}", "--n", "10", "--x", "0.3"],
+             "invalid value"),
+            (["compare", "--fn-csv", "{table}", "--n", "5", "--points", "11", "--out", "{tmp}"],
+             "invalid value"),
+        ],
+    )
+    def test_floating_point_errors_exit_2_with_one_json_line(self, tmp_path, args, complaint):
+        # in a fresh process, where no test harness turns warnings into errors
+        out, table = tmp_path / "out.csv", tmp_path / "big.csv"
+        table.write_text("x,fx\n0,1e308\n0.5,-1e308\n1,1e308\n")
+        res = run_main([a.format(tmp=out, table=table) for a in args])
+        assert res.returncode == 2 and res.stdout == ""
+        (line,) = res.stderr.splitlines()  # no numpy warning ahead of the JSON error
+        assert complaint in json.loads(line)["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize(

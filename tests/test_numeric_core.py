@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from polya_bernstein.numeric_core import binomial_row, factorial_ratio, strict_floor_bracket
+from polya_bernstein.numeric_core import (
+    BOUNDARY_SLACK,
+    binomial_row,
+    factorial_ratio,
+    strict_floor_bracket,
+)
 
 
 def rising_oracle(x, n, h):
@@ -191,6 +196,35 @@ class TestFactorialRatio:
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             factorial_ratio(0.5, 4, 4, 0.0)
+
+    @pytest.mark.parametrize("case, complaint", [
+        ((1.5, 0, 3, 0.0), r"x must lie in \[0,1\]"),
+        ((-0.1, 0, 3, 0.0), r"x must lie in \[0,1\]"),
+        ((math.nan, 0, 3, 0.0), r"x must lie in \[0,1\]"),
+        # 0.5^(1,c) 0.5^(3,c) / 1^(3,c) at c = -0.4 is -0.0625, not 0
+        ((0.5, 0, 3, -0.4), "numerator factor"),
+        ((0.5, 0, 3, math.inf), "not finite"),
+        ((0.5, 0, 3, -math.inf), "not finite"),
+        ((0.5, 0, 3, math.nan), "not finite"),
+        ((0.5, 1, 3, 1e308), "not finite"),     # (n-1)c overflows
+        ((0.5, 0, 1, math.inf), "not finite"),  # 0 * inf
+    ])
+    def test_refuses_input_outside_its_domain(self, case, complaint):
+        with pytest.raises(ValueError, match=complaint):
+            factorial_ratio(*case)
+
+    def test_zero_rule_covers_the_slack_only(self):
+        # the least numerator factor 1e-14 - 2e-14 is exactly -BOUNDARY_SLACK
+        x, c = BOUNDARY_SLACK, -2 * BOUNDARY_SLACK
+        assert x + c == -BOUNDARY_SLACK
+        assert factorial_ratio(x, 1, 3, c) == 0.0
+        with pytest.raises(ValueError, match="numerator factor"):
+            factorial_ratio(x, 1, 3, math.nextafter(c, -1.0))
+
+    def test_keeps_an_inadmissible_c_whose_factors_are_all_positive(self):
+        # x + 9c < 0 is not a factor at r = 0: 0.1 * 0.9^(10,c) / 1^(10,c)
+        got = factorial_ratio(0.1, 0, 10, -0.05)
+        assert got == pytest.approx(ratio_oracle(0.1, 0, 10, -0.05), rel=1e-14) and got > 0.0
 
 
 class TestBinomialRow:

@@ -204,6 +204,10 @@ class TestCProfile:
                 assert isinstance(got, float) and want.shape == (1,)
                 assert np.float64(got).tobytes() == want[0].tobytes(), (profile, n, x)
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown profile kind 'bogus'"):
+            CProfile("bogus")
+
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_rn_refuses_n_below_two_on_both_routes(self, n):
         for x in (0.3, np.array([0.3])):
@@ -337,6 +341,27 @@ class TestSampledTables:
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
             function_from_samples([0.0, 0.5, 0.5, 1.0], [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("xs, fx", [
+        ([0.0, 1.0], [0.0, 1.0, 2.0]),          # unequal lengths
+        ([0.0], [1.0]),                          # fewer than 2
+        ([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]),  # 2-D
+    ])
+    def test_rejects_samples_of_the_wrong_shape(self, xs, fx):
+        with pytest.raises(ValueError, match="equal-length 1-D sequences of length >= 2"):
+            function_from_samples(xs, fx)
+
+    def test_csv_skips_blank_rows(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("x,fx\n0,0.5\n\n1,0.9\n\n")
+        f = function_from_csv(str(path))
+        assert float(f(0.5)) == pytest.approx(0.7)
+
+    def test_csv_with_a_header_only_is_refused(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("x,fx\n")
+        with pytest.raises(ValueError, match="no samples"):
+            function_from_csv(str(path))
 
     def test_rejects_missing_endpoints(self):
         with pytest.raises(ValueError, match="x=0"):

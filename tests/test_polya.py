@@ -47,6 +47,24 @@ def sweep_cases(draw):
     return n, np.array(xs, dtype=float), np.array(cs, dtype=float)
 
 
+@st.composite
+def near_boundary_columns(draw):
+    """(n, x, c) with c = (-min{x,1-x} - u BOUNDARY_SLACK)/(n-1), u in
+    [0, 1]: from the admissibility boundary to the slack's far end."""
+    n = draw(st.integers(min_value=2, max_value=200))
+    x = draw(st.one_of(st.just(0.5), st.floats(min_value=0.0, max_value=1.0)))
+    u = draw(st.floats(min_value=0.0, max_value=1.0))
+    return n, x, (-min(x, 1.0 - x) - u * polya.BOUNDARY_SLACK) / (n - 1)
+
+
+def admitted(n, x, c):
+    try:
+        polya.validate_sweep(n, x, c)
+    except AdmissibilityError:
+        return False
+    return True
+
+
 class TestValidate:
     def test_boundary_equality_accepted(self):
         validate(PolyaParams(2, 0.5, 0.5, -0.5))  # a + (n-1)c = 0
@@ -74,6 +92,27 @@ class TestValidate:
         with pytest.raises(AdmissibilityError, match="not finite"):
             polya.validate_sweep(5, np.array([0.5, 0.9]), np.array([0.1, 1e308]))
         validate(PolyaParams(200, 0.5, 0.5, 1e300))  # (n-1)c = 1.99e302 is finite
+
+    @pytest.mark.parametrize("a, b, c, name", [
+        (0.1, 0.9, -0.1, "a"),   # a + 2c < 0 only
+        (0.9, 0.1, -0.1, "b"),   # b + 2c < 0 only
+        (0.3, 0.2, -0.2, "b"),   # both fail: the smaller weight is named
+        (0.2, 0.2, -0.2, "a"),   # equal weights: a
+    ])
+    def test_message_names_the_weight_that_fails(self, a, b, c, name):
+        w = min(a, b)
+        with pytest.raises(AdmissibilityError, match=rf"^{name} \+ \(n-1\)c = .* for {name}={w}, "):
+            validate(PolyaParams(3, a, b, c))
+
+    @settings(max_examples=400)
+    @given(case=sweep_cases())
+    def test_every_admitted_denominator_factor_is_positive(self, case):
+        # rising_products divides by 1 + i*c, i < n, with no check of its own:
+        # fl(i*c) >= fl((n-1)c) >= -1/2 - slack wherever the sweep admits c
+        n, x, c = case
+        if admitted(n, x, c):
+            factors = 1.0 + np.arange(n, dtype=float)[:, None] * np.atleast_1d(c)[None, :]
+            assert (factors >= 0.5 - polya.BOUNDARY_SLACK).all()
 
     def test_rejects_nan_weights(self):
         # a NaN a or b is not >= 0; pmf refused it only later, in the sweep
@@ -171,6 +210,25 @@ class TestPmf:
         binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
         plain = binom[:, None] * cum_a * cum_b[::-1] / den
         np.testing.assert_array_equal(pmf_matrix(n, x, c), np.clip(plain, 0.0, 1.0))
+
+    # a + (n-1)c = -2e-15: admitted, and p_0 = p_2 = -2e-15 before clipping
+    @example(case=(2, 0.5, -0.5 - 2e-15))
+    @settings(max_examples=400)
+    @given(case=near_boundary_columns())
+    def test_every_admitted_column_near_the_boundary_is_a_pmf(self, case):
+        n, x, c = case
+        if admitted(n, np.array([x]), np.array([c])):
+            column = pmf_matrix(n, np.array([x]), np.array([c]))[:, 0]
+            assert column.min() >= 0.0 and column.max() <= 1.0
+            assert abs(column.sum() - 1.0) <= 1e-12
+            if n == 2 and x == 0.5:
+                np.testing.assert_array_equal(pmf(PolyaParams(n, x, 1.0 - x, c)), column)
+
+    def test_overflowing_column_is_refused(self):
+        # 1000 factors near 1e300 each: the products overflow, and the
+        # column's own finiteness check refuses it without a numpy warning
+        with pytest.raises(ArithmeticError, match="overflows for n=1000"):
+            pmf_matrix(1000, [0.3], 1e300)
 
     def test_matrix_rejects_inadmissible(self):
         with pytest.raises(AdmissibilityError):
@@ -399,3 +457,14 @@ class TestTruncatedFirstMoment:
     def test_rejects_r_out_of_range(self):
         with pytest.raises(ValueError):
             truncated_first_moment(PolyaParams(4, 0.5, 0.5, 0.0), 4)
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            truncated_first_moment(PolyaParams(4, 0.5, 0.5, 0.0), 1, method="bogus")
+
+    @pytest.mark.parametrize("method", ["closed", "brute"])
+    def test_validates_once(self, monkeypatch, method):
+        calls = []
+        monkeypatch.setattr(polya, "validate", lambda params: calls.append(params))
+        truncated_first_moment(PolyaParams(6, 0.7, 0.3, -0.05), 2, method)
+        assert calls == [PolyaParams(6, 0.7, 0.3, -0.05)]

@@ -25,7 +25,12 @@ The commands are taken from ``perfbench/`` and ``tests/`` next to this script:
   --c-samples 5`` at ``--workers`` 1 and 2: n next to ``N_MAX``, where the
   lemma's right side underflows and its log-ratio branch decides;
 * ``eval --op polya --c 0`` at one point and on a grid, and ``eval --op
-  bernstein`` at one point: the c = 0 route of the operator.
+  bernstein`` at one point: the c = 0 route of the operator;
+* refusals: ``eval --op polya --c 1e300 --n 1000``, whose pmf products
+  overflow; ``eval --op rn`` and ``compare`` on a table with values of
+  +-1e308; and, in process, the ``repr`` (or the error) of ``pmf`` a little
+  past the admissibility boundary and of ``factorial_ratio`` with a
+  negative numerator factor.
 
 Every item runs in a fresh directory under a temporary root, removed at the
 end, and every path it is given is relative, so the outputs do not depend on
@@ -72,6 +77,24 @@ EVALS = (
      "--out", "polya-c0.csv"],
     ["eval", "--op", "bernstein", "--fn", "sin-pi", "--n", "57", "--x", "0.3"],
 )
+# Refusal paths: a bad input must end in one JSON error line and exit 2.
+HUGE_C = ["eval", "--op", "polya", "--fn", "sin-pi", "--x", "0.3", "--n", "1000", "--c", "1e300"]
+BIG_TABLE = "x,fx\n0,1e308\n0.5,-1e308\n1,1e308\n"
+BIG_TABLE_CMDS = (
+    ["eval", "--op", "rn", "--fn-csv", "big.csv", "--n", "10", "--x", "0.3"],
+    ["compare", "--fn-csv", "big.csv", "--n", "5", "--points", "11", "--out", "compare.csv"],
+)
+# Prints the repr, or the error, of each expression.
+PAST_THE_BOUNDARY = """
+from polya_bernstein.numeric_core import factorial_ratio
+from polya_bernstein.polya import PolyaParams, pmf
+for call in (lambda: pmf(PolyaParams(2, 0.5, 0.5, -0.5 - 2e-15)),
+             lambda: factorial_ratio(0.5, 0, 3, -0.4)):
+    try:
+        print(repr(call()))
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
 VERIFY = ["verify", "--lemma", "--kozniewska", "--conjecture", "--n6", "--n", "2..12",
           "--points", "501", "--c-samples", "5"]
 VERIFY_TOP = ["verify", "--lemma", "--kozniewska", "--conjecture", "--n", "195..200",
@@ -140,6 +163,12 @@ def digest(root: Path) -> None:
             run(f"{name}-w{w}", [*PBOP, *cmd, "--workers", w], fresh())
     for i, cmd in enumerate(EVALS):
         run(f"eval[{i}]", [*PBOP, *cmd], fresh())
+    run("refuse-huge-c", [*PBOP, *HUGE_C], fresh())
+    for i, cmd in enumerate(BIG_TABLE_CMDS):
+        where = fresh()
+        (where / "big.csv").write_text(BIG_TABLE)
+        run(f"refuse-big-table[{i}]", [*PBOP, *cmd], where)
+    run("past-the-boundary", [sys.executable, "-c", PAST_THE_BOUNDARY], fresh())
 
 
 if __name__ == "__main__":
