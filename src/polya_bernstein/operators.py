@@ -2,10 +2,11 @@
 
 The urn-based operator family P_n^{x,1-x,c} with a pluggable replacement
 profile c(x): the paper's R_n under CProfile("rn"), c(x) = -min{x,1-x}/(n-1),
-and the classical Bernstein B_n at c = 0, CProfile("zero").  The one
-evaluation path is the curve over a grid, which forms the Bernstein basis
-directly where every c is 0; a point query is its one-point view.  Also the
-grid-based modulus of continuity and sup-norm error/ratio profiling.
+and the classical Bernstein B_n at c = 0, CProfile("zero").  The curve over
+a grid forms the Bernstein basis directly where every c is 0; a point query
+has the bits of its one-point curve, and where c(x) != 0 builds one pmf
+column, not a sweep.  Also the grid-based modulus of continuity and sup-norm
+error/ratio profiling.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .numeric_core import binomial_row
-from .polya import _check_unit_interval, pmf_matrix
+from .polya import PolyaParams, _check_unit_interval, _pmf_column, pmf_matrix, validate
 from .reports import GridSpec, ScanReport, _check_cells, _parse_n_range
 
 __all__ = [
@@ -121,8 +122,9 @@ class CProfile:
     """Replacement-increment profile c(x) for the urn operator family.
 
     kind "zero" is the Bernstein degeneracy, "rn" is the admissibility
-    boundary -min{x,1-x}/(n-1), "constant" is a fixed c (which must be
-    >= 0 to stay admissible at the endpoints x in {0,1}).
+    boundary -min{x,1-x}/(n-1), "constant" is a fixed finite c, admitted
+    or not per column by the pmf route: at a point x if c >= -min{x,1-x}/(n-1),
+    on a grid holding x = 0 or 1 (every CLI grid) not if c < 0 and n > 1.
     """
 
     kind: str = "rn"
@@ -133,11 +135,6 @@ class CProfile:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if not math.isfinite(self.value):
             raise ValueError(f"profile value must be finite, got {self.value}")
-        if self.kind == "constant" and self.value < 0:
-            raise ValueError(
-                f"constant profile c={self.value} is inadmissible near the endpoints; "
-                "use kind='rn' for x-dependent negative replacement"
-            )
 
     def c_at(self, x, n: int):
         """c at x: for a float x (np.float64 included) a float, in plain
@@ -163,11 +160,26 @@ def bernstein_eval(f: FunctionSpec, n: int, x: float) -> float:
 
 
 def polya_operator_eval(f: FunctionSpec, n: int, x: float, profile: CProfile) -> float:
-    """Urn operator P_n^{x,1-x,c(x)}(f; x) = E f(X_n / n): the one-point
-    view of :func:`operator_curve`."""
+    """Urn operator P_n^{x,1-x,c(x)}(f; x) = E f(X_n / n), with the bits
+    and refusals of the one-point :func:`operator_curve`.  Where c(x) != 0
+    the column comes from :func:`validate` and the one-column pmf builder,
+    not from the sweep's :func:`pmf_matrix`."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0,1], got {x}")
+    if profile.kind != "zero":
+        _check_size(n, 1)
+        x = float(x)
+        if c := profile.c_at(x, n):
+            validate(PolyaParams(n, x, 1.0 - x, c))
+            k = np.arange(n + 1, dtype=float)
+            return float((np.asarray(f(k / n)) @ _pmf_column(n, x, c))[0])
     return float(operator_curve(f, n, np.array([x]), profile)[0])
+
+
+def _check_size(n: int, points: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_cells((n + 1) * points, "an operator curve")
 
 
 def operator_curve(f: FunctionSpec, n: int, xs: np.ndarray, profile: CProfile) -> np.ndarray:
@@ -175,10 +187,8 @@ def operator_curve(f: FunctionSpec, n: int, xs: np.ndarray, profile: CProfile) -
     is 0 the pmf is the Bernstein basis C(n,k) x^k (1-x)^(n-k), products of
     nonnegative factors summing to within 6e-14 of 1 up to n = 1029, so
     :func:`pmf_matrix`, with its checks, serves only c != 0."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     xs = np.asarray(xs, dtype=float)
-    _check_cells((n + 1) * xs.size, "an operator curve")
+    _check_size(n, xs.size)
     k = np.arange(n + 1, dtype=float)
     if profile.kind != "zero" and np.count_nonzero(cs := profile.c_at(xs, n)):
         probs = pmf_matrix(n, xs, cs)

@@ -4,11 +4,12 @@ with the rising factorial x^(k,c) = x (x+c) ... (x+(k-1)c) both in log
 space (:func:`log_rising`) and as cumulative products
 (:func:`rising_products`).
 
-The pmf has one route: :func:`pmf_matrix` builds every column from the
-cumulative products and checks it: finite, sum 1, and no entry below
--2 BOUNDARY_SLACK, as an admitted p_0 or p_n dips at most about the slack
-below 0.  :func:`pmf` is its one-column view.  Only :func:`validate` and
-:func:`validate_sweep` decide admissibility, by one rule.
+The pmf has one arithmetic: :func:`pmf_matrix` builds a sweep's columns
+from the cumulative products, and :func:`_pmf_column` one column with the
+same bits but no sweep's array checks, for the point queries.  Both end in
+:func:`_checked_pmf`: finite, sum 1, and no entry below -2 BOUNDARY_SLACK,
+as an admitted p_0 or p_n dips at most about the slack below 0.  Only
+:func:`validate` and :func:`validate_sweep` decide admissibility, by one rule.
 
 Parameters (n, a, b, c) describe n draws from an urn with initial white
 weight a, black weight b, and replacement increment c; c = 0 is binomial,
@@ -116,12 +117,12 @@ def pmf(params: PolyaParams) -> np.ndarray:
     """Probability mass function, entries k = 0..n.
 
     Entry k is C(n,k) * a^(k,c) * b^(n-k,c) / (a+b)^(n,c).  Parameters are
-    normalized to a+b = 1 (the pmf is homogeneous of degree 0), so the result
-    is the one column of :func:`pmf_matrix` at x = a, c, with its checks.
+    normalized to a+b = 1 (the pmf is homogeneous of degree 0): the result is
+    the :func:`pmf_matrix` column at x = a, c, built by :func:`_pmf_column`.
     """
     validate(params)
     total = params.a + params.b
-    return pmf_matrix(params.n, params.a / total, params.c / total)[:, 0]
+    return _pmf_column(params.n, params.a / total, params.c / total)[:, 0]
 
 
 def rising_products(n: int, x: np.ndarray, c: np.ndarray, scaled: bool = False, out=None):
@@ -197,14 +198,41 @@ def pmf_matrix(n: int, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Vectorized pmf for parameter family (n, x, 1-x, c), shape (n+1, len(x)).
 
     c is broadcast to the shape of x; every column is the pmf of
-    PolyaParams(n, x_j, 1-x_j, c_j), clipped to [0, 1] after a check that
-    every entry is finite and none is below -_NEG_TOL.  Every column's sum is
-    then checked against 1, not forced.  :func:`pmf` is its one-column view.
+    PolyaParams(n, x_j, 1-x_j, c_j), checked by :func:`_checked_pmf`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     c = np.full(x.shape, c, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         probs = _pmf_from_products(*rising_products(n, x, c, scaled=True))
+    return _checked_pmf(probs, n)
+
+
+def _pmf_column(n: int, x: float, c: float) -> np.ndarray:
+    """The (n+1, 1) :func:`pmf_matrix` column of PolyaParams(n, x, 1-x, c),
+    which the caller has admitted with :func:`validate`: the float operations
+    of :func:`rising_products` in its order, both numerator runs in one
+    accumulate, then the same checks."""
+    cum = np.empty((2, n + 1, 1))
+    cum[:, 0] = 1.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        ic = np.arange(n, dtype=float)[:, None] * c
+        np.add(x, ic, out=cum[0, 1:])
+        np.add(1.0 - x, ic, out=cum[1, 1:])
+        fd = np.add(1.0, ic, out=ic)
+        if c > 0.0:
+            scale = np.exp2(-np.rint(np.log2(fd).mean(axis=0)))
+            cum[:, 1:] *= scale
+            fd *= scale
+        den = fd.prod(axis=0)
+        np.multiply.accumulate(cum, axis=1, out=cum)
+        probs = _pmf_from_products(cum[0], cum[1], den)
+    return _checked_pmf(probs, n)
+
+
+def _checked_pmf(probs: np.ndarray, n: int) -> np.ndarray:
+    """probs, columns of a pmf, clipped to [0, 1] in place after a check
+    that every entry is finite and none is below -_NEG_TOL; every column's
+    sum is then checked against 1, not forced."""
     lo, hi = probs.min(), probs.max()  # a NaN entry makes both NaN
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ArithmeticError(f"pmf entry overflows for n={n}")

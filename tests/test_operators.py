@@ -4,6 +4,7 @@ from collections import deque
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polya_bernstein import analysis, operators, polya
 from polya_bernstein.numeric_core import strict_floor_bracket
@@ -23,6 +24,14 @@ from polya_bernstein.polya import PolyaParams, pmf, pmf_matrix, truncated_first_
 from polya_bernstein.reports import GridSpec
 
 CONST_ONE = operators.FunctionSpec("one", lambda t: np.ones_like(t))
+
+
+def _outcome(call):
+    """The bits of call()'s float result, or the type and message of its error."""
+    try:
+        return int(np.float64(call()).view(np.int64))
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestBernstein:
@@ -150,9 +159,62 @@ class TestPolyaOperator:
                 with pytest.raises(ArithmeticError, match="drifts"):
                     call()
 
-    def test_rejects_negative_constant_profile(self):
-        with pytest.raises(ValueError):
-            CProfile("constant", -0.1)
+    def test_negative_constant_point_query_is_decided_by_validate(self):
+        # validate admits the one column at x = 1/2 that c = -0.01 needs
+        f = builtin_function("sqrt")
+        want = float(f(np.arange(4) / 3) @ pmf(PolyaParams(3, 0.5, 0.5, -0.01)))
+        assert polya_operator_eval(f, 3, 0.5, CProfile("constant", -0.01)) == want
+        with pytest.raises(polya.AdmissibilityError, match=r"a \+ \(n-1\)c"):
+            polya_operator_eval(f, 3, 0.5, CProfile("constant", -0.3))
+        with pytest.raises(polya.AdmissibilityError):
+            polya_operator_eval(f, 3, 0.1, CProfile("constant", -0.1))
+
+    def test_negative_constant_grid_is_refused_at_the_endpoints(self):
+        f = builtin_function("sqrt")
+        with pytest.raises(polya.AdmissibilityError, match="somewhere in the sweep"):
+            operator_curve(f, 3, np.linspace(0.0, 1.0, 5), CProfile("constant", -0.01))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=200),
+        x=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        kind=st.sampled_from(["rn", "constant"]),
+        u=st.floats(min_value=-0.2, max_value=5.0),
+        fn=st.sampled_from(sorted(BUILTIN_FUNCTIONS)),
+    )
+    def test_point_query_is_the_one_point_curve_bit_for_bit(self, n, x, kind, u, fn):
+        # c(x) != 0 builds the one column, the curve a pmf_matrix column;
+        # a refused column is refused by validate there, by validate_sweep here
+        f, profile = BUILTIN_FUNCTIONS[fn], CProfile(kind, u)
+        got, want = (_outcome(lambda: polya_operator_eval(f, n, x, profile)),
+                     _outcome(lambda: operator_curve(f, n, np.array([x]), profile)[0]))
+        if isinstance(want, tuple) and want[0] is polya.AdmissibilityError:
+            assert isinstance(got, tuple) and got[0] is polya.AdmissibilityError
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("query", [
+        lambda f: polya_operator_eval(f, 40, 0.3, CProfile("rn")),
+        lambda f: polya_operator_eval(f, 40, 0.3, CProfile("constant", 0.02)),
+        lambda f: polya_operator_eval(f, 40, 0.3, CProfile("constant", -0.005)),
+        lambda f: pmf(PolyaParams(40, 0.3, 0.7, -0.005)),
+        lambda f: truncated_first_moment(PolyaParams(40, 0.3, 0.7, -0.005), 11, "brute"),
+    ], ids=["rn", "constant", "negative-constant", "pmf", "brute"])
+    def test_pmf_point_query_validates_once_and_runs_no_sweep(self, monkeypatch, query):
+        calls, true_validate = [], polya.validate
+
+        def validate(params):
+            calls.append(params)
+            true_validate(params)
+
+        def no_sweep(*args):
+            raise AssertionError("a point query ran validate_sweep")
+
+        for module in (polya, operators):
+            monkeypatch.setattr(module, "validate", validate)
+        monkeypatch.setattr(polya, "validate_sweep", no_sweep)
+        query(builtin_function("sin-pi"))
+        assert len(calls) == 1
 
 
 class TestRn:

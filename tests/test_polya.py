@@ -57,6 +57,25 @@ def near_boundary_columns(draw):
     return n, x, (-min(x, 1.0 - x) - u * polya.BOUNDARY_SLACK) / (n - 1)
 
 
+@st.composite
+def one_columns(draw):
+    """(n, x, c): n in 1..200, x in [0, 1] with its ends and 1/2, c from the
+    slack past the admissibility boundary up to 5."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    x = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)))
+    lo = (-min(x, 1.0 - x) - polya.BOUNDARY_SLACK) / max(n - 1, 1)
+    return n, x, draw(st.one_of(st.just(lo), st.just(0.0), st.floats(min_value=lo, max_value=5.0)))
+
+
+def _outcome(call):
+    """The shape and bits of call()'s array, or the type and message of its error."""
+    try:
+        got = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return got.shape, got.view(np.int64).tolist()
+
+
 def admitted(n, x, c):
     try:
         polya.validate_sweep(n, x, c)
@@ -229,6 +248,32 @@ class TestPmf:
         # column's own finiteness check refuses it without a numpy warning
         with pytest.raises(ArithmeticError, match="overflows for n=1000"):
             pmf_matrix(1000, [0.3], 1e300)
+
+    # the overflowing and the drifting column
+    @example(case=(1000, 0.3, 1e300))
+    @example(case=(500, 0.3, 1e300))
+    @settings(max_examples=400)
+    @given(case=one_columns())
+    def test_one_column_is_the_matrix_column(self, case):
+        n, x, c = case
+        if admitted(n, np.array([x]), np.array([c])):
+            got = _outcome(lambda: polya._pmf_column(n, x, c))
+            assert got == _outcome(lambda: pmf_matrix(n, [x], c))
+
+    @pytest.mark.parametrize("n, x, c", [
+        (3, 0.5, -0.3),     # past the boundary
+        (3, 0.5, math.nan),
+        (1000, 0.3, 1e300),  # the products overflow
+        (500, 0.3, 1e300),   # the scaled products lose their bits: the sum drifts
+    ])
+    def test_one_column_refuses_what_the_matrix_refuses(self, n, x, c):
+        # pmf, the one-column route, against validate and then the sweep
+        def sweep():
+            validate(PolyaParams(n, x, 1.0 - x, c))
+            return pmf_matrix(n, [x], c)[:, 0]
+
+        got = _outcome(lambda: pmf(PolyaParams(n, x, 1.0 - x, c)))
+        assert isinstance(got, tuple) and got == _outcome(sweep)
 
     def test_matrix_rejects_inadmissible(self):
         with pytest.raises(AdmissibilityError):

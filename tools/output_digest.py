@@ -30,7 +30,11 @@ The commands are taken from ``perfbench/`` and ``tests/`` next to this script:
   overflow; ``eval --op rn`` and ``compare`` on a table with values of
   +-1e308; and, in process, the ``repr`` (or the error) of ``pmf`` a little
   past the admissibility boundary and of ``factorial_ratio`` with a
-  negative numerator factor.
+  negative numerator factor;
+* ``eval --op polya`` with a negative constant c at one admitted point;
+* in process, the ``repr`` (or the error) of the one-column pmf where its
+  sum drifts (``pmf`` at n = 500, c = 1e300) and where its products
+  overflow (the brute truncated moment at n = 1000, c = 1e300).
 
 Every item runs in a fresh directory under a temporary root, removed at the
 end, and every path it is given is relative, so the outputs do not depend on
@@ -95,6 +99,20 @@ for call in (lambda: pmf(PolyaParams(2, 0.5, 0.5, -0.5 - 2e-15)),
     except Exception as exc:
         print(type(exc).__name__, exc)
 """
+NEGATIVE_C = ["eval", "--op", "polya", "--fn", "sqrt", "--c", "-0.01", "--x", "0.5", "--n", "3"]
+# Prints the repr, or the error, of the expression in argv[1].
+ONE_COLUMN = """
+import sys
+from polya_bernstein.polya import PolyaParams, pmf, truncated_first_moment
+try:
+    print(repr(eval(sys.argv[1])))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+ONE_COLUMN_CALLS = {
+    "pmf-drift": "pmf(PolyaParams(500, 0.3, 0.7, 1e300))",
+    "brute-overflow": "truncated_first_moment(PolyaParams(1000, 0.3, 0.7, 1e300), 3, 'brute')",
+}
 VERIFY = ["verify", "--lemma", "--kozniewska", "--conjecture", "--n6", "--n", "2..12",
           "--points", "501", "--c-samples", "5"]
 VERIFY_TOP = ["verify", "--lemma", "--kozniewska", "--conjecture", "--n", "195..200",
@@ -169,6 +187,9 @@ def digest(root: Path) -> None:
         (where / "big.csv").write_text(BIG_TABLE)
         run(f"refuse-big-table[{i}]", [*PBOP, *cmd], where)
     run("past-the-boundary", [sys.executable, "-c", PAST_THE_BOUNDARY], fresh())
+    run("negative-constant", [*PBOP, *NEGATIVE_C], fresh())
+    for name, call in ONE_COLUMN_CALLS.items():
+        run(name, [sys.executable, "-c", ONE_COLUMN, call], fresh())
 
 
 if __name__ == "__main__":
