@@ -118,11 +118,15 @@ def pmf(params: PolyaParams) -> np.ndarray:
 
     Entry k is C(n,k) * a^(k,c) * b^(n-k,c) / (a+b)^(n,c).  Parameters are
     normalized to a+b = 1 (the pmf is homogeneous of degree 0): the result is
-    the :func:`pmf_matrix` column at x = a, c, built by :func:`_pmf_column`.
+    the :func:`pmf_matrix` column at x = a, c, built by :func:`_pmf_column`
+    and admitted by :func:`validate` in those normalized units.  A sum a+b
+    that is not > 0 has a negative, NaN or all-zero weight, and is refused
+    as given.
     """
-    validate(params)
-    total = params.a + params.b
-    return _pmf_column(params.n, params.a / total, params.c / total)[:, 0]
+    n, a, b, c = params.n, params.a, params.b, params.c
+    total = a + b
+    validate(PolyaParams(n, a / total, b / total, c / total) if total > 0.0 else params)
+    return _pmf_column(n, a / total, c / total)[:, 0]
 
 
 def rising_products(n: int, x: np.ndarray, c: np.ndarray, scaled: bool = False, out=None):
@@ -274,7 +278,8 @@ def log_rising(x, k, c) -> np.ndarray:
     is safe.  Factors whose base lies below _STIRLING_MIN are logged one by
     one as log(x + i c), the same floating-point factor
     :func:`rising_products` multiplies, and a factor that is <= 0 there
-    (the admissibility boundary) gives -inf, i.e. an exact 0 product.
+    (the admissibility boundary, at most BOUNDARY_SLACK below 0) gives
+    -inf, i.e. an exact 0 product; a factor below that raises ValueError.
     c = 0 gives k log x; k = 0 gives 0.
 
     The result is within a few ulps of the true log, so a product formed
@@ -318,6 +323,12 @@ def log_rising(x, k, c) -> np.ndarray:
             cols = np.nonzero(e < count)[0]
             factor = xs[cols] + (lo[cols] + e) * cs[cols]
             val[cols] += np.log(np.maximum(factor, 0.0))
+    # Only an explicit factor can be <= 0, and only falling, where the least
+    # is the last, x + (k-1)c: one check per call, not one per factor.
+    if val.min(initial=0.0) == -np.inf:
+        least = (xs + (ks - 1.0) * cs)[val == -np.inf].min()
+        if least < -BOUNDARY_SLACK:
+            raise ValueError(f"factor {least} < 0 (slack {-BOUNDARY_SLACK}) in log_rising")
     out[sel] = val
     return out
 

@@ -21,7 +21,7 @@ from polya_bernstein.analysis import (
     sikkema_function,
     verify_sweep,
 )
-from polya_bernstein.numeric_core import strict_floor_bracket
+from polya_bernstein.numeric_core import binomial_row, strict_floor_bracket
 from polya_bernstein.operators import CProfile
 from polya_bernstein.polya import (
     AdmissibilityError,
@@ -177,6 +177,57 @@ class TestFnc:
             assert gap.max() <= 1e-13
 
 
+def unchunked_fnc(n, xs, cs):
+    """f_n_c_curve's log-space part in one pass over every active point."""
+    xs = np.asarray(xs, dtype=float)
+    cs = np.broadcast_to(np.asarray(cs, dtype=float), xs.shape)
+    r = np.asarray(analysis._truncation_index(n, xs))
+    active = r >= 0
+    out = np.zeros_like(xs)
+    x, c, rr = xs[active], cs[active], r[active]
+    out[active] = np.exp(binomial_row(n - 1, log=True)[rr] + log_rising(x, rr + 1, c)
+                         + log_rising(1.0 - x, n - rr, c) - log_rising(1.0, n, c))
+    return out
+
+
+class TestChunkedFnc:
+    """f_n_c_curve runs its log-space part in chunks under BLOCK_BYTES;
+    every point is computed on its own, so chunking moves no bit."""
+
+    CHUNK = analysis.BLOCK_BYTES // 256  # f_n_c_curve's points per chunk
+
+    def c_values(self, kind, n, xs, rng):
+        if kind in ("zero", "rn"):
+            return CProfile(kind).c_at(xs, n)
+        if kind == "between":
+            return CProfile("rn").c_at(xs, n) * rng.uniform(0.0, 1.0, xs.size)
+        return kind
+
+    @pytest.mark.parametrize("kind", ["zero", "rn", "between", 0.0, -0.0])
+    @pytest.mark.parametrize("n", [7, 150])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "3k+7"])
+    def test_chunks_equal_one_pass(self, monkeypatch, kind, n, extra):
+        size = 3 * self.CHUNK + 7 if extra == "3k+7" else self.CHUNK + extra
+        rng = np.random.default_rng(size + n)
+        # every point active, x = 1 and repeated points included
+        xs = np.sort(np.concatenate([rng.uniform(1.0 / math.sqrt(n) + 1.0 / n, 1.0, size - 3),
+                                     [1.0, 0.75, 0.75]]))
+        cs = self.c_values(kind, n, xs, rng)
+        calls = []
+        monkeypatch.setattr(analysis, "log_rising",
+                            lambda *args: calls.append(np.size(args[0])) or log_rising(*args))
+        got = f_n_c_curve(n, xs, cs)
+        assert len(calls) == 3 * -(-size // self.CHUNK)
+        assert same_bits(got, unchunked_fnc(n, xs, cs))
+
+    @pytest.mark.parametrize("kind", ["zero", "rn"])
+    def test_chunks_of_a_grid_with_inactive_points(self, kind):
+        n, size = 40, 3 * self.CHUNK + 7
+        xs = np.linspace(0.0, 1.0, size)
+        cs = self.c_values(kind, n, xs, None)
+        assert same_bits(f_n_c_curve(n, xs, cs), unchunked_fnc(n, xs, cs))
+
+
 def index_probe_points(n):
     """linspace(0, 1, 2001) with each jump of r(x) and the floats either
     side of it."""
@@ -303,7 +354,7 @@ class TestJumpSets:
 
 
 def _bracket_sum_max(n, points):
-    from polya_bernstein.numeric_core import strict_floor_bracket
+    from polya_bernstein.numeric_core import binomial_row, strict_floor_bracket
 
     xs = np.linspace(0, 1, points)
     best = 0.0
@@ -562,6 +613,87 @@ class TestLemmaVerifier:
         a = verify_sweep(range(2, 9), ["lemma"], grid, 5, workers=1)
         b = verify_sweep(range(2, 9), ["lemma"], grid, 5, workers=2)
         assert a == b
+
+
+def lemma_block_reference(self, cells, xb, rb, X, C, cum_a, cum_b, den, spare):
+    """The lemma's block as one pass per r over the suffix of cells with
+    rmax >= r, the form the one 2-D pass replaced."""
+    n, cs = self.n, self.cs
+    strict_c = C < analysis.STRICT_C_CUTOFF
+    for r in range(int(rb[-1]) + 1):
+        g = int(np.searchsorted(rb, r))
+        s = g * cs
+        rhs_x = xb[g:] ** (r + 1) * (1.0 - xb[g:]) ** (n - r)
+        margin = np.repeat(rhs_x, cs) - cum_a[r + 1, s:] * cum_b[n - r, s:] / den[s:]
+        self.checked += margin.size
+        analysis._first_min(self.worst[r, :1], self.where[r, :1], margin[None], cells[s:])
+        strict = strict_c[s:]
+        fail = strict & (margin <= 0.0)
+        under = (rhs_x < np.finfo(float).tiny) & (xb[g:] < 1.0)
+        if np.any(under):
+            t = np.nonzero(strict & np.repeat(under, cs))[0]
+            fail[t] = analysis._lemma_log_ratio(n, r, X[s + t], C[s + t]) >= 0.0
+        if np.any(fail):
+            f = np.nonzero(fail)[0]
+            analysis._first_min(self.worst[r, 1:], self.where[r, 1:], margin[None, f], cells[s + f])
+
+
+class ReferenceLemma(analysis._LemmaSweep):
+    block = lemma_block_reference
+
+
+def same_lemma_state(a, b):
+    return (same_bits(a.worst, b.worst) and np.array_equal(a.where, b.where)
+            and a.checked == b.checked)
+
+
+class TestLemmaBlock:
+    """The lemma's one 2-D pass per block keeps what the per-r passes kept:
+    worst margins, their cells, the count and the strict witness."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("scaled", [True, False])
+    def test_random_blocks_match_the_per_r_passes(self, monkeypatch, seed, scaled):
+        if not scaled:
+            # every cell strict: the c = 0 cells fail by rounding, some with
+            # a margin of exactly 0
+            monkeypatch.setattr(analysis, "STRICT_C_CUTOFF", 0.5)
+        rng = np.random.default_rng(seed)
+        n, cs = int(rng.integers(2, 80)), int(rng.integers(1, 6))
+        # x near 1 makes the right side underflow, and repeated points tie
+        xs = np.sort(np.concatenate([rng.uniform(0.0, 1.0, 60), 1.0 - 10.0 ** -rng.uniform(3, 15, 6),
+                                     [0.0, 0.5, 0.5, 1.0, 1.0]]))
+        xs, cgrid = analysis._LemmaSweep.cells(n, xs, cs)
+        X, C = np.repeat(xs, cs), cgrid.ravel()
+        rmax = analysis._rmax(n, xs)
+        fast, ref = analysis._LemmaSweep(n, cs), ReferenceLemma(n, cs)
+        cuts = [0, *np.sort(rng.choice(np.arange(1, xs.size), 3, replace=False)).tolist(), xs.size]
+        for g0, g1 in zip(cuts, cuts[1:]):
+            s0, s1 = g0 * cs, g1 * cs
+            cum_a, cum_b, den = rising_products(n, X[s0:s1], C[s0:s1])
+            if scaled:  # so that strict failures occur
+                cum_a *= rng.choice([0.5, 1.0, 2.0, 1e6], cum_a.shape)
+            args = (np.arange(s0, s1), xs[g0:g1], rmax[g0:g1], X[s0:s1], C[s0:s1], cum_a, cum_b, den)
+            ref.block(*args, np.full((n, s1 - s0), np.nan))
+            fast.block(*args, np.full((n, s1 - s0), np.nan))
+            assert same_lemma_state(fast, ref)
+        assert np.isfinite(ref.worst[:, 1]).any()  # some strict failure was kept
+        assert fast.result(X, C) == ref.result(X, C)
+
+    def test_underflow_rows_near_n_max(self, monkeypatch):
+        logged = []
+        log_ratio = analysis._lemma_log_ratio
+        monkeypatch.setattr(analysis, "_lemma_log_ratio",
+                            lambda *args: logged.append(args[2].size) or log_ratio(*args))
+        for n in range(195, 201):
+            xs, cgrid = analysis._LemmaSweep.cells(n, np.linspace(0.0, 1.0, 2001), 5)
+            fast, ref = analysis._LemmaSweep(n, 5), ReferenceLemma(n, 5)
+            analysis._sweep_n(n, xs, cgrid, [fast])
+            analysis._sweep_n(n, xs, cgrid, [ref])
+            assert same_lemma_state(fast, ref)
+            X, C = np.repeat(xs, 5), cgrid.ravel()
+            assert fast.result(X, C) == ref.result(X, C)
+        assert sum(logged) > 0  # the log ratio decided some cells
 
 
 class TestSweepBlocks:

@@ -575,6 +575,28 @@ class TestResources:
         assert peak_mib < 150
         assert blocked.read_bytes() == whole.read_bytes()
 
+    def test_majorant_scan_memory_is_bounded(self, tmp_path, peak_rss):
+        """f_n_c_curve runs its log-space part in chunks: unchunked, the
+        1,000,001-point n = 200 majorant scan peaked at 248 MiB."""
+        exit_code, peak_mib = peak_rss(
+            "import sys; from polya_bernstein.cli import main; main(sys.argv[1:])",
+            "scan", "--sikkema", "--c-mode", "rn", "--n", "200", "--points", "1000001",
+            "--workers", "1", "--out", str(tmp_path / "scan.json"))
+        assert exit_code == 0
+        assert peak_mib < 150
+
+    def test_verifier_peaks_near_the_import(self, tmp_path, peak_rss):
+        """The benchmark's lemma and Kozniewska sweep stays within 9 MiB of a
+        bare import of the CLI: 2 MiB blocks and an unchunked reflection
+        read about 13 MiB above it."""
+        _, import_mib = peak_rss("import polya_bernstein.cli")
+        exit_code, peak_mib = peak_rss(
+            "import sys; from polya_bernstein.cli import main; main(sys.argv[1:])",
+            "verify", "--lemma", "--kozniewska", "--n", "2..40", "--points", "2001",
+            "--c-samples", "21", "--workers", "1", "--out", str(tmp_path / "verify.json"))
+        assert exit_code == 0
+        assert peak_mib - import_mib < 9
+
     @pytest.mark.parametrize("args", [
         ["scan", "--sikkema", "--n", "2..4000000", "--workers", "1"],
         ["verify", "--lemma", "--n", "2..4000000", "--workers", "1"],

@@ -275,6 +275,22 @@ class TestPmf:
         got = _outcome(lambda: pmf(PolyaParams(n, x, 1.0 - x, c)))
         assert isinstance(got, tuple) and got == _outcome(sweep)
 
+    def test_refuses_a_normalised_c_that_overflows(self):
+        # a + b = 2e-300 admits the weights as given, but the column is built
+        # from c/(a+b) = 5e309, which is not finite
+        with pytest.raises(AdmissibilityError, match=r"\(n-1\)c = inf is not finite"):
+            pmf(PolyaParams(3, 1e-300, 1e-300, 1e10))
+
+    @pytest.mark.parametrize("a, b, complaint", [
+        (-1.0, -1.0, "nonnegative"),  # a + b < 0 would flip the signs
+        (0.0, 0.0, "a \\+ b must be positive"),
+        (math.nan, 1.0, "nonnegative"),
+        (-0.1, 1.0, "nonnegative"),
+    ])
+    def test_refuses_bad_weights_before_normalising(self, a, b, complaint):
+        with pytest.raises(AdmissibilityError, match=complaint):
+            pmf(PolyaParams(3, a, b, 0.0))
+
     def test_matrix_rejects_inadmissible(self):
         with pytest.raises(AdmissibilityError):
             pmf_matrix(4, np.array([0.5]), np.array([-0.4]))
@@ -396,6 +412,14 @@ class TestRisingFactorial:
         assert log_rising(0.3, 7, 0.0) == 7 * math.log(0.3)
         # factor 5 of 0.5^(6,-0.1) is 0.5 - 5 * 0.1 = 0 exactly
         assert log_rising(0.5, 6, -0.1) == -np.inf
+
+    def test_zero_rule_stays_within_the_slack(self):
+        # 0.3 + 3 (-0.1) is -5.6e-17, the boundary's 0 after rounding
+        assert log_rising(0.3, 4, -0.1) == -np.inf
+        # 0.5 + 2 (-0.4) = -0.3 is outside x + (k-1)c >= 0, alone or in an array
+        for args in ((0.5, 3, -0.4), ([0.3, 0.5, 0.9], [4, 3, 2], [-0.1, -0.4, 0.1])):
+            with pytest.raises(ValueError, match="factor -0.3.* < 0"):
+                log_rising(*args)
 
     @pytest.mark.parametrize("n", [5, 40, 300])
     def test_fast_path_gives_the_bits_of_the_general_path(self, n):

@@ -34,7 +34,9 @@ The commands are taken from ``perfbench/`` and ``tests/`` next to this script:
 * ``eval --op polya`` with a negative constant c at one admitted point;
 * in process, the ``repr`` (or the error) of the one-column pmf where its
   sum drifts (``pmf`` at n = 500, c = 1e300) and where its products
-  overflow (the brute truncated moment at n = 1000, c = 1e300).
+  overflow (the brute truncated moment at n = 1000, c = 1e300), of ``pmf``
+  where only the normalised c/(a+b) overflows, and of ``log_rising`` with
+  a factor far below 0.
 
 Every item runs in a fresh directory under a temporary root, removed at the
 end, and every path it is given is relative, so the outputs do not depend on
@@ -103,7 +105,7 @@ NEGATIVE_C = ["eval", "--op", "polya", "--fn", "sqrt", "--c", "-0.01", "--x", "0
 # Prints the repr, or the error, of the expression in argv[1].
 ONE_COLUMN = """
 import sys
-from polya_bernstein.polya import PolyaParams, pmf, truncated_first_moment
+from polya_bernstein.polya import PolyaParams, log_rising, pmf, truncated_first_moment
 try:
     print(repr(eval(sys.argv[1])))
 except Exception as exc:
@@ -112,6 +114,8 @@ except Exception as exc:
 ONE_COLUMN_CALLS = {
     "pmf-drift": "pmf(PolyaParams(500, 0.3, 0.7, 1e300))",
     "brute-overflow": "truncated_first_moment(PolyaParams(1000, 0.3, 0.7, 1e300), 3, 'brute')",
+    "pmf-normalised-c-overflows": "pmf(PolyaParams(3, 1e-300, 1e-300, 1e10))",
+    "log-rising-past-the-boundary": "log_rising(0.5, 3, -0.4)",
 }
 VERIFY = ["verify", "--lemma", "--kozniewska", "--conjecture", "--n6", "--n", "2..12",
           "--points", "501", "--c-samples", "5"]
