@@ -570,7 +570,8 @@ def strict_witness_oracle(ns, points, c_samples):
 
 
 class TestLemmaVerifier:
-    @pytest.mark.parametrize("budget", [1, analysis.BLOCK_BYTES])
+    # one grid point per block, the default budget, and the former 2 MiB one
+    @pytest.mark.parametrize("budget", [1, analysis.BLOCK_BYTES, 2 << 20])
     def test_strict_witness_is_the_first_smallest_failure(self, monkeypatch, budget):
         # with every cell strict, the c = -0.0 cells, where both sides agree
         # up to rounding, fail at many (n, r) with ties
@@ -725,7 +726,8 @@ class TestSweepBlocks:
         both = verify_sweep(range(2, 9), ("kozniewska", "lemma"), self.GRID, 5)
         assert [r.to_json_dict() for r in both] == self.reports()[:2]
 
-    @pytest.mark.parametrize("budget", [1, analysis.BLOCK_BYTES])
+    # one grid point per block, the default budget, and the former 2 MiB one
+    @pytest.mark.parametrize("budget", [1, analysis.BLOCK_BYTES, 2 << 20])
     def test_all_three_checks_match_single_checks(self, monkeypatch, budget):
         monkeypatch.setattr(analysis, "BLOCK_BYTES", budget)
         fused = verify_sweep(range(2, 9), ["lemma", "kozniewska", "conjecture"], self.GRID, 5)
