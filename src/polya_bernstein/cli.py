@@ -9,7 +9,6 @@ Identical invocations produce byte-identical JSON regardless of --workers.
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -33,24 +32,6 @@ def _parse_range(text: str) -> range:
     if hi < lo:
         raise click.UsageError(f"empty range {text!r}")
     return range(lo, hi + 1)
-
-
-def _resolve_workers(workers: int | None) -> int:
-    """--workers, else PB_WORKERS unless it is unset or empty, else one
-    worker per CPU."""
-    source = "--workers"
-    if workers is None:
-        env = os.environ.get("PB_WORKERS")
-        if not env:
-            return os.cpu_count() or 1
-        source = "PB_WORKERS"
-        try:
-            workers = int(env)
-        except ValueError:
-            raise click.UsageError(f"PB_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise click.UsageError(f"{source} must be >= 1, got {workers}")
-    return workers
 
 
 def _function(fn: str | None, fn_csv: str | None) -> operators.FunctionSpec:
@@ -125,8 +106,9 @@ def cmd_eval(op, fn, fn_csv, n, x, c, grid_points, out):
 @click.option("--points", type=int, default=DEFAULT_POINTS, show_default=True)
 @click.option("--out", "out", type=click.Path(), default=None, help="JSON report path (default stdout)")
 @click.option("--curves-csv", type=click.Path(), default=None, help="per-n curve export (n,x,value)")
-@click.option("--workers", type=int, default=None,
-              help="parallel workers of --sikkema scans (env PB_WORKERS); --popoviciu runs in-process")
+@click.option("--workers", type=click.IntRange(min=1), default=analysis._cpu_count,
+              help="parallel workers of --sikkema scans (default: one per CPU); "
+                   "--popoviciu runs in-process")
 def cmd_scan(mode, n_range, c_mode, bound, fn, fn_csv, op, points, out, curves_csv, workers):
     """Sup scans: --sikkema for the Sikkema-style bound (--bound), --popoviciu
     for operator error/modulus ratios of a test function."""
@@ -143,7 +125,6 @@ def cmd_scan(mode, n_range, c_mode, bound, fn, fn_csv, op, points, out, curves_c
         if value is not None and mode != owner:
             raise click.UsageError(f"{option} applies to --{owner} scans only")
     ns = _parse_range(n_range)
-    workers = _resolve_workers(workers)
     grid = GridSpec(points=points)
     if mode == "sikkema":
         report = analysis.scan_sup(ns, c_mode or "zero", grid, workers, bound, curves_csv)
@@ -163,13 +144,13 @@ def cmd_scan(mode, n_range, c_mode, bound, fn, fn_csv, op, points, out, curves_c
 @click.option("--c-samples", type=click.IntRange(min=1), default=DEFAULT_C_SAMPLES,
               show_default=True)
 @click.option("--out", "out", type=click.Path(), default=None)
-@click.option("--workers", type=int, default=None, help="parallel workers over n (env PB_WORKERS)")
+@click.option("--workers", type=click.IntRange(min=1), default=analysis._cpu_count,
+              help="parallel workers over n (default: one per CPU)")
 def cmd_verify(lemma, kozniewska, n6, conjecture, n_range, points, c_samples, out, workers):
     """Run selected verifications; exit 1 if any non-exploratory check fails."""
     if not (lemma or kozniewska or n6 or conjecture):
         raise click.UsageError("select at least one of --lemma/--kozniewska/--n6/--conjecture")
     ns = _parse_range(n_range)
-    workers = _resolve_workers(workers)
     grid = GridSpec(points=points)
     checks = [name for name, on in
               (("lemma", lemma), ("kozniewska", kozniewska), ("conjecture", conjecture)) if on]

@@ -38,13 +38,6 @@ __all__ = [
     "truncated_first_moment",
 ]
 
-# Sweeps this wide accumulate their rising products and partial sums row by
-# row, narrower ones in one accumulate call per array.  On 2 vCPUs (numpy
-# 2.4) the two break even near 384 columns at n = 20 and near 450 at
-# n = 200; at n = 200 one column takes 3 us against 0.5 ms, 4096 columns
-# 6.7 ms against 1.4 ms.
-ROW_LOOP_MIN_COLUMNS = 384
-
 _SUM_TOL = 1e-12
 # One factor of p_0 or p_n, min{x,1-x} + (n-1)c, may be as low as -slack, and
 # the entry then as low as -slack/(1 - 2 slack); every other entry is >= 0.
@@ -174,14 +167,11 @@ def rising_products(n: int, x: np.ndarray, c: np.ndarray, scaled: bool = False, 
 
 
 def _accumulate_rows(ufunc: np.ufunc, a: np.ndarray) -> None:
-    """ufunc.accumulate(a, axis=0, out=a): the same operations in the same
-    order either way, as one call that strides across the columns, or, from
-    ROW_LOOP_MIN_COLUMNS columns on, one contiguous call per row."""
-    if a.shape[1] < ROW_LOOP_MIN_COLUMNS:
-        ufunc.accumulate(a, axis=0, out=a)
-    else:
-        for i in range(1, a.shape[0]):
-            ufunc(a[i - 1], a[i], out=a[i])
+    """ufunc.accumulate(a, axis=0, out=a) with the same operations in the
+    same order, as one contiguous call per row: a sweep is hundreds to
+    thousands of columns wide, which one call would stride across."""
+    for i in range(1, a.shape[0]):
+        ufunc(a[i - 1], a[i], out=a[i])
 
 
 def _pmf_from_products(cum_a: np.ndarray, cum_b: np.ndarray, den: np.ndarray) -> np.ndarray:

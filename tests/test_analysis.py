@@ -178,7 +178,9 @@ class TestFnc:
 
 
 def unchunked_fnc(n, xs, cs):
-    """f_n_c_curve's log-space part in one pass over every active point."""
+    """F_n^c in two phases, as f_n_c_curve once ran it: the truncation index,
+    active mask and gathers at full size, then the log-space part in one
+    pass over every active point."""
     xs = np.asarray(xs, dtype=float)
     cs = np.broadcast_to(np.asarray(cs, dtype=float), xs.shape)
     r = np.asarray(analysis._truncation_index(n, xs))
@@ -219,6 +221,27 @@ class TestChunkedFnc:
         got = f_n_c_curve(n, xs, cs)
         assert len(calls) == 3 * -(-size // self.CHUNK)
         assert same_bits(got, unchunked_fnc(n, xs, cs))
+
+    @pytest.mark.parametrize("kind", ["rn", 0.0, -0.0])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "3k+7"])
+    @pytest.mark.parametrize("shape", ["0-d", "1-D", "(3, k)"])
+    def test_one_chunk_loop_equals_two_phases(self, kind, extra, shape):
+        # inactive points (x <= 1/sqrt(n)) at both ends of the array and
+        # scattered through it, so chunk edges fall among them
+        n = 30
+        size = 3 * self.CHUNK + 7 if extra == "3k+7" else self.CHUNK + extra
+        rng = np.random.default_rng(size)
+        xs = rng.uniform(0.0, 1.0, size)
+        xs[[0, 1, -2, -1]] = [0.0, 0.1, 0.15, 1.0 / math.sqrt(n)]
+        if shape == "0-d":
+            xs = np.asarray(xs[size // 2])
+        elif shape == "(3, k)":
+            xs = np.stack([xs, xs[::-1], 1.0 - xs])
+        cs = self.c_values(kind, n, xs, rng)
+        got = f_n_c_curve(n, xs, cs)
+        want = unchunked_fnc(n, xs, cs)
+        assert got.shape == xs.shape and same_bits(got, want)
+        assert (got == 0.0).any() or shape == "0-d"
 
     @pytest.mark.parametrize("kind", ["zero", "rn"])
     def test_chunks_of_a_grid_with_inactive_points(self, kind):
@@ -418,11 +441,23 @@ class TestScanSup:
     @pytest.mark.parametrize("cpus, processes", [(None, None), (1, None), (2, 2), (8, 8)])
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, serial_pool, cpus, processes):
         started = serial_pool
+        # a platform without affinity masks, where the host's count rules
+        monkeypatch.delattr(analysis.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
         stream = analysis._map_over_n(abs, list(range(-20, 0)), workers=64)
         assert started == []  # lazy: no pool before the first result is drawn
         assert list(stream) == list(range(20, 0, -1))
         assert started == ([] if processes is None else [processes])
+
+    @pytest.mark.parametrize("mask, want", [({0, 5}, 2), ({3}, 1)])
+    def test_cpu_count_reads_the_affinity_mask(self, monkeypatch, serial_pool, mask, want):
+        # pinned to some of 64 CPUs
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: mask, raising=False)
+        assert analysis._cpu_count() == want
+        assert list(analysis._map_over_n(abs, list(range(-20, 0)), workers=64)) == list(
+            range(20, 0, -1))
+        assert serial_pool == ([want] if want > 1 else [])
 
     @pytest.mark.parametrize("c_mode", ["zero", "rn"])
     @pytest.mark.parametrize("points", [1000, 1001])

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import polya_bernstein
 from polya_bernstein import analysis, operators, reports
-from polya_bernstein.cli import _resolve_workers, cli, main
+from polya_bernstein.cli import cli, main
 from polya_bernstein.reports import GridSpec
 
 
@@ -238,7 +238,7 @@ class TestVerify:
         assert "finding" in payload["reports"][0]
 
     def test_one_pool_for_every_sweep_check(self, monkeypatch, serial_pool, capsys):
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
         main(["verify", "--lemma", "--conjecture", "--n", "2..6", "--points", "201",
               "--c-samples", "3", "--workers", "2"])
         assert serial_pool == [2]
@@ -296,21 +296,30 @@ class TestFailurePaths:
         res = run_main(["scan", "--sikkema", "--n", "2..3", "--workers", "0"])
         assert res.returncode == 2
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", "0"])
-    def test_bad_pb_workers_is_a_usage_error(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("PB_WORKERS", value)
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--lemma", "--n", "2..3", "--points", "201"])
-        assert exc.value.code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "usage" and "PB_WORKERS" in err["message"]
+    def test_workers_has_one_setting(self):
+        """--workers is the only worker setting: PB_WORKERS, whatever it
+        holds, leaves a run as it is unset, and a bad --workers is a usage
+        error."""
+        args = ["verify", "--lemma", "--n", "2..3", "--points", "201"]
+        env = {k: v for k, v in os.environ.items() if k != "PB_WORKERS"}
+        unset = run_main(args, env)
+        assert unset.returncode == 0
+        for value in ("abc", "0"):
+            res = run_main(args, {**env, "PB_WORKERS": value})
+            assert (res.returncode, res.stdout, res.stderr) == (0, unset.stdout, unset.stderr)
+        for value in ("0", "abc"):
+            res = run_main([*args, "--workers", value], env)
+            assert res.returncode == 2
+            err = json.loads(res.stderr)
+            assert err["error"] == "usage" and "--workers" in err["message"]
 
-    @pytest.mark.parametrize("value, want", [("", 3), ("2", 2)])
-    def test_empty_pb_workers_is_unset(self, monkeypatch, value, want):
-        monkeypatch.setenv("PB_WORKERS", value)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _resolve_workers(None) == want
-        assert _resolve_workers(1) == 1
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch, serial_pool, capsys):
+        # pinned to 2 of 64 CPUs, the sweep over 39 n starts 2 workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        main(["verify", "--lemma", "--n", "2..40", "--points", "101", "--c-samples", "1"])
+        assert serial_pool == [2]
+        assert json.loads(capsys.readouterr().out)["reports"][0]["passed"]
 
     @pytest.mark.parametrize(
         "table, complaint",
@@ -491,7 +500,7 @@ class TestFailurePaths:
             raise RuntimeError("curve computed")
 
         monkeypatch.setattr(analysis, "scan_curve", boom)
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--sikkema", "--n", "2..5", "--points", "1001", "--workers", workers,
                   "--curves-csv", str(tmp_path / "missing" / "curves.csv")])
@@ -576,14 +585,16 @@ class TestResources:
         assert blocked.read_bytes() == whole.read_bytes()
 
     def test_majorant_scan_memory_is_bounded(self, tmp_path, peak_rss):
-        """f_n_c_curve runs its log-space part in chunks: unchunked, the
-        1,000,001-point n = 200 majorant scan peaked at 248 MiB."""
+        """f_n_c_curve does all its per-point work in chunks: unchunked, the
+        1,000,001-point n = 200 majorant scan peaked at 248 MiB, and with
+        its gathers and index built at full size before the chunks, at
+        106.5 MiB."""
         exit_code, peak_mib = peak_rss(
             "import sys; from polya_bernstein.cli import main; main(sys.argv[1:])",
             "scan", "--sikkema", "--c-mode", "rn", "--n", "200", "--points", "1000001",
             "--workers", "1", "--out", str(tmp_path / "scan.json"))
         assert exit_code == 0
-        assert peak_mib < 150
+        assert peak_mib < 95
 
     def test_verifier_peaks_near_the_import(self, tmp_path, peak_rss):
         """The benchmark's lemma and Kozniewska sweep stays within 9 MiB of a

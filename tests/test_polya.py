@@ -319,9 +319,8 @@ def row_loop_products(n, x, c):
 
 
 class TestProductWidths:
-    CROSS = polya.ROW_LOOP_MIN_COLUMNS
-
-    @pytest.mark.parametrize("width", [1, CROSS - 1, CROSS, CROSS + 1, 5000])
+    # 383..385 straddle the width where a strided accumulate once took over
+    @pytest.mark.parametrize("width", [1, 383, 384, 385, 5000])
     @pytest.mark.parametrize("sign", [-1, 0, 1])
     def test_both_routes_equal_the_row_loop(self, width, sign):
         n = 120
@@ -333,11 +332,27 @@ class TestProductWidths:
         for have, want in zip(got, row_loop_products(n, x, c)):
             assert np.array_equal(have, want)
 
+    @pytest.mark.parametrize("ufunc", [np.add, np.multiply])
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (1, 4), (1, 1), "view"])
+    def test_accumulate_rows_of_no_row_one_row_and_a_view(self, ufunc, shape):
+        rng = np.random.default_rng(11)
+        if shape == "view":  # rows of a wider array, as the reflection tails are
+            base = rng.uniform(-1.0, 1.0, (6, 9))
+            a = base[:4, 1:8]
+        else:
+            base = a = rng.uniform(-1.0, 1.0, shape)
+        want = ufunc.accumulate(a, axis=0)
+        untouched = base.copy()
+        polya._accumulate_rows(ufunc, a)
+        assert np.array_equal(a, want)
+        if shape == "view":
+            untouched[:4, 1:8] = want
+        assert np.array_equal(base, untouched)
+
     @pytest.mark.parametrize("scaled", [False, True])
     def test_caller_buffers_give_the_bits_of_a_fresh_call(self, scaled):
         # buffers sized for 500 columns take blocks of 500, 500 and a
-        # narrower last 200, on either side of the row-loop crossover,
-        # and then a single column
+        # narrower last 200, and then a single column
         n, widest = 30, 500
         rng = np.random.default_rng(7)
         x = rng.uniform(0.0, 1.0, 1201)

@@ -36,7 +36,13 @@ The commands are taken from ``perfbench/`` and ``tests/`` next to this script:
   sum drifts (``pmf`` at n = 500, c = 1e300) and where its products
   overflow (the brute truncated moment at n = 1000, c = 1e300), of ``pmf``
   where only the normalised c/(a+b) overflows, and of ``log_rising`` with
-  a factor far below 0.
+  a factor far below 0;
+* ``verify --lemma --n 2..3 --points 201`` under ``PB_WORKERS=abc`` and
+  ``PB_WORKERS=0``: ``--workers`` is the one worker setting, so both exit 0
+  with the report of a run without the variable (a checkout that still
+  read it exits 2 there);
+* in process, the values of ``f_n_c_curve`` on a (3, 7) grid, under the rn
+  profile and at c = 0, and at a 0-d point, with their shapes.
 
 Every item runs in a fresh directory under a temporary root, removed at the
 end, and every path it is given is relative, so the outputs do not depend on
@@ -117,6 +123,17 @@ ONE_COLUMN_CALLS = {
     "pmf-normalised-c-overflows": "pmf(PolyaParams(3, 1e-300, 1e-300, 1e10))",
     "log-rising-past-the-boundary": "log_rising(0.5, 3, -0.4)",
 }
+PB_WORKERS_VERIFY = ["verify", "--lemma", "--n", "2..3", "--points", "201"]
+# Prints the shape and the exact values of f_n_c_curve on each input.
+FNC_SHAPES = """
+import numpy as np
+from polya_bernstein.analysis import f_n_c_curve
+from polya_bernstein.operators import CProfile
+grid = np.linspace(0.0, 1.0, 21).reshape(3, 7)
+for xs, cs in ((grid, CProfile("rn").c_at(grid, 12)), (grid, 0.0), (np.asarray(0.8), -0.0)):
+    out = f_n_c_curve(12, xs, cs)
+    print(out.shape, repr(out.tolist()))
+"""
 VERIFY = ["verify", "--lemma", "--kozniewska", "--conjecture", "--n6", "--n", "2..12",
           "--points", "501", "--c-samples", "5"]
 VERIFY_TOP = ["verify", "--lemma", "--kozniewska", "--conjecture", "--n", "195..200",
@@ -131,12 +148,14 @@ def _files(where: Path) -> dict[str, str]:
     return {str(p): _sha(p.read_bytes()) for p in sorted(where.rglob("*")) if p.is_file()}
 
 
-def run(name: str, argv: list[str], cwd: Path, watch: Path | None = None) -> None:
-    """Run argv in cwd and print its digest line; the files written are those
-    new or changed under watch (default cwd), named relative to cwd."""
+def run(name: str, argv: list[str], cwd: Path, watch: Path | None = None,
+        env: dict[str, str] | None = None) -> None:
+    """Run argv in cwd, in env (default this process's), and print its digest
+    line; the files written are those new or changed under watch (default
+    cwd), named relative to cwd."""
     watch = watch or cwd
     before = _files(watch)
-    res = subprocess.run(argv, cwd=cwd, capture_output=True)
+    res = subprocess.run(argv, cwd=cwd, capture_output=True, env=env)
     written = [f"{os.path.relpath(p, cwd)}={h}" for p, h in _files(watch).items()
                if before.get(p) != h]
     print(name, res.returncode, _sha(res.stdout), _sha(res.stderr), *written, flush=True)
@@ -194,6 +213,10 @@ def digest(root: Path) -> None:
     run("negative-constant", [*PBOP, *NEGATIVE_C], fresh())
     for name, call in ONE_COLUMN_CALLS.items():
         run(name, [sys.executable, "-c", ONE_COLUMN, call], fresh())
+    for value in ("abc", "0"):
+        run(f"pb-workers-{value}", [*PBOP, *PB_WORKERS_VERIFY], fresh(),
+            env={**os.environ, "PB_WORKERS": value})
+    run("f-n-c-curve-shapes", [sys.executable, "-c", FNC_SHAPES], fresh())
 
 
 if __name__ == "__main__":
