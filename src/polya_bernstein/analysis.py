@@ -44,7 +44,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .numeric_core import binomial_row, strict_floor_bracket
-from .operators import CProfile
+from .operators import _RN, _ZERO, CProfile
 from .polya import (
     PolyaParams,
     _accumulate_rows,
@@ -166,14 +166,11 @@ def sikkema_function(n: int, x: float, c_mode: str = "zero") -> float:
     return 1.0 + math.sqrt(n) * (f_n_c(n, x, c) + f_n_c(n, 1.0 - x, c))
 
 
-_PROFILES = {"zero": CProfile("zero"), "rn": CProfile("rn")}
-
-
 def _profile(c_mode: str) -> CProfile:
     """The replacement profile of a scan's c-mode, "zero" or "rn"."""
     if c_mode not in ("zero", "rn"):
         raise ValueError(f"unknown c-mode {c_mode!r}; use 'zero' or 'rn'")
-    return _PROFILES[c_mode]
+    return _ZERO if c_mode == "zero" else _RN
 
 
 def _sym_scan_grid(n: int, grid: GridSpec, jumps: Sequence[float]) -> np.ndarray:
@@ -385,7 +382,7 @@ class _Sweep:
         """The check's (x, c) layout for :func:`_sweep_n`: every grid point
         x carries c_samples values of c running from the boundary value
         -min{x,1-x}/(n-1) up to 0."""
-        return xs, CProfile("rn").c_at(xs, n)[:, None] * np.linspace(1.0, 0.0, c_samples)
+        return xs, _RN.c_at(xs, n)[:, None] * np.linspace(1.0, 0.0, c_samples)
 
     def witness(self, X: np.ndarray, C: np.ndarray, slot, **extra) -> dict[str, Any]:
         cell = self.where[slot]
@@ -497,28 +494,23 @@ class _KozniewskaSweep(_Sweep):
         _accumulate_rows(np.add, partial)  # partial[r] = sum_{k<=r}
         diff = np.abs(np.subtract(partial[:n], closed, out=closed), out=closed)
         _first_min(self.worst[:n], self.where[:n], np.negative(diff, out=diff), cells)
-        self.checked += int(diff.size)
 
-        # Reflection: the tail over {k : x - k/n < -1/sqrt(n)} rewritten
-        # through k = n - k' must equal F_n^c(1-x), here from the log-space
-        # kernel that the scans run.  The strict threshold is realized by
-        # F_n^c's truncation index r' at 1 - x, taken per grid point.  x is
-        # nondecreasing, so r' is nonincreasing: the active cells are a
-        # prefix of the block, and its first cell has the largest r'.
+        # Reflection: the tail over {k : x - k/n < -1/sqrt(n)}, k >= n - r'
+        # with r' F_n^c's truncation index at 1 - x, is a prefix less the
+        # total, sum_{k >= n-r'} (k/n - x) p_k = partial[n-1-r'] - partial[n],
+        # and must equal F_n^c(1-x), here from the log-space kernel that the
+        # scans run.  x is nondecreasing, so r' is nonincreasing: the active
+        # cells (r' >= 0) are a prefix of the block.
         rp = _truncation_index(n, 1.0 - xb)
         rr = np.repeat(rp[rp >= 0], cs)
         tail = np.zeros_like(X)
-        if rr.size:
-            a, top = rr.size, int(rr[0]) + 1
-            terms = np.subtract((1.0 - X[:a])[None, :], self.k_n[:top], out=partial[:top, :a])
-            terms *= probs[::-1][:top, :a]
-            _accumulate_rows(np.add, terms)  # terms[r] = sum_{k'<=r}
-            tail[:a] = terms[rr, np.arange(a)]
+        if a := rr.size:
+            tail[:a] = partial[n - 1 - rr, np.arange(a)] - partial[n, :a]
             # F_n^c(1-x) is 0 off the active prefix, as the tail is
             tail[:a] -= f_n_c_curve(n, 1.0 - X[:a], C[:a])
-        rdiff = np.abs(tail, out=tail)
-        _first_min(self.worst[n:], self.where[n:], -rdiff[None], cells)
-        self.checked += int(X.size)
+        rdiff = np.negative(np.abs(tail, out=tail), out=tail)
+        _first_min(self.worst[n:], self.where[n:], rdiff[None], cells)
+        self.checked += (n + 1) * X.size  # n truncation levels and the reflection
 
     def result(self, X: np.ndarray, C: np.ndarray) -> dict[str, Any]:
         r = int(np.argmin(self.worst))  # a tie keeps the truncated moment over the reflection
@@ -566,7 +558,7 @@ class _ConjectureSweep(_Sweep):
         carrying c_samples values of c from the admissibility boundary
         -min{x,1-x}/(n-1) up to CONJECTURE_C_MAX."""
         xa = xs[(_rmax(n, xs) >= 0) & (np.minimum(xs, 1.0 - xs) > 0.0)]
-        cmin = CProfile("rn").c_at(xa, n)[:, None]
+        cmin = _RN.c_at(xa, n)[:, None]
         return xa, cmin + np.linspace(0.0, 1.0, c_samples) * (CONJECTURE_C_MAX - cmin)
 
     def block(self, cells, xb, rb, X, C, cum_a, cum_b, den, spare) -> None:
@@ -678,7 +670,7 @@ def n6_case_check() -> VerificationReport:
     n = 6
     s = 1.0 / math.sqrt(6.0)
     xs, vals = scan_curve(n, "rn", GridSpec(points=N6_GRID_POINTS), "majorant")
-    f = f_n_c_curve(n, xs, CProfile("rn").c_at(xs, n))
+    f = f_n_c_curve(n, xs, _RN.c_at(xs, n))
     sup_i = float(f[(xs > s) & (xs <= 0.5)].max())
     sup_ii = float(np.abs(f[(xs > 0.5) & (xs <= s + 1.0 / 6.0)]).max())
     checks = {

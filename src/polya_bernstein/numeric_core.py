@@ -100,6 +100,12 @@ def factorial_ratio(x: float, r: int, n: int, c: float) -> float:
     return float(np.multiply.accumulate(q, out=q)[-1] * last)
 
 
+def _check_float_binomial(n: int) -> None:
+    """Refuse a float C(n, k) for n > 1029, where C(n, n/2) overflows."""
+    if n > 1029:
+        raise OverflowError(f"float binomial row capped at n = 1029, got n={n}")
+
+
 @functools.lru_cache(maxsize=512)
 def binomial_row(n: int, log: bool = False) -> np.ndarray:
     """C(n, k) for k = 0..n as floats, or with log=True their math.log,
@@ -110,12 +116,11 @@ def binomial_row(n: int, log: bool = False) -> np.ndarray:
     and are rounded (or logged) once, then mirrored, so the row equals
     ``[math.comb(n, k) ...]`` bit for bit.  The log row logs the
     exact integers, not the rounded floats (np.log of the float row can
-    move a last bit), and has no size cap; the float row raises
-    OverflowError for n > 1029, where C(n, n/2) passes the float range,
-    before it builds any integer.
+    move a last bit), and has no size cap; the float row is refused by
+    :func:`_check_float_binomial` before any integer is built.
     """
-    if not log and n > 1029:
-        raise OverflowError(f"float binomial row capped at n = 1029, got n={n}")
+    if not log:
+        _check_float_binomial(n)
     row = [1]
     for k in range(n // 2):
         row.append(row[-1] * (n - k) // (k + 1))

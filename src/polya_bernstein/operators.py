@@ -114,7 +114,7 @@ def function_from_csv(path: str) -> FunctionSpec:
     if not rows:
         raise ValueError(f"no samples in {path}")
     xs, fx = zip(*rows)
-    return FunctionSpec(path, function_from_samples(xs, fx).fn)
+    return function_from_samples(xs, fx, name=path)
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,7 @@ class CProfile:
 
 
 _ZERO = CProfile("zero")
+_RN = CProfile("rn")
 
 
 def bernstein_eval(f: FunctionSpec, n: int, x: float) -> float:
@@ -261,9 +262,9 @@ def popoviciu_scan(
     feeds :meth:`ScanReport.from_curves`, the reduction of every scan.
     Rejects (near-)constant f, whose ratio is 0/0.
     """
-    profiles = {"bernstein": CProfile("zero"), "rn": CProfile("rn")}
-    if operator not in profiles:
+    if operator not in ("bernstein", "rn"):
         raise ValueError(f"unknown operator {operator!r}")
+    profile = _ZERO if operator == "bernstein" else _RN
     ns = _parse_n_range(ns)
     _check_cells((ns[-1] + 1) * grid.points, "an operator curve")
     vals = _modulus_samples(f, OMEGA_RESOLUTION)
@@ -274,7 +275,7 @@ def popoviciu_scan(
         omega = _window_spread(vals, _modulus_window(n ** -0.5, OMEGA_RESOLUTION))
         if omega <= 0.0:
             raise ValueError(f"function {f.name!r} is constant on the grid; ratio undefined")
-        return xs, np.abs(operator_curve(f, n, xs, profiles[operator]) - fx) / omega
+        return xs, np.abs(operator_curve(f, n, xs, profile) - fx) / omega
 
     meta = {"operator": operator, "function": f.name, "kind": "popoviciu-ratio"}
     return ScanReport.from_curves(zip(ns, map(ratios, ns)), grid, meta)

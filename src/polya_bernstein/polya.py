@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric_core import BOUNDARY_SLACK, binomial_row, factorial_ratio
+from .numeric_core import BOUNDARY_SLACK, _check_float_binomial, binomial_row, factorial_ratio
 
 __all__ = [
     "AdmissibilityError",
@@ -353,7 +353,8 @@ def truncated_first_moment(
         raise ValueError(f"r must lie in 0..n-1, got r={r}, n={n}")
     if method == "closed":
         validate(params)
-        return float(binomial_row(n - 1)[r]) * factorial_ratio(params.a, r, n, params.c)
+        _check_float_binomial(n - 1)
+        return float(math.comb(n - 1, r)) * factorial_ratio(params.a, r, n, params.c)
     if method == "brute":
         terms = (params.a - np.arange(r + 1) / n) * pmf(params)[: r + 1]  # validates
         # Summed in k order; + 0.0 turns a -0.0 total into 0.0, as a sum

@@ -26,6 +26,7 @@ from polya_bernstein.operators import CProfile
 from polya_bernstein.polya import (
     AdmissibilityError,
     PolyaParams,
+    _pmf_from_products,
     log_rising,
     pmf,
     rising_products,
@@ -730,6 +731,63 @@ class TestLemmaBlock:
             X, C = np.repeat(xs, 5), cgrid.ravel()
             assert fast.result(X, C) == ref.result(X, C)
         assert sum(logged) > 0  # the log ratio decided some cells
+
+
+def reflection_tails_reference(n, xb, X, cum_a, cum_b, den, cs):
+    """The reflection's tails by a second, downward accumulation over the
+    reversed pmf, the form that reading them off the truncated-moment
+    partial sums replaced: per active cell, with r' the truncation index at
+    1 - x, sum_{k' <= r'} ((1 - x) - k'/n) p_{n-k'}."""
+    probs = _pmf_from_products(cum_a.copy(), cum_b, den)
+    rp = analysis._truncation_index(n, 1.0 - xb)
+    rr = np.repeat(rp[rp >= 0], cs)
+    a = rr.size
+    terms = (1.0 - X[:a])[None, :] - np.arange(n + 1, dtype=float)[:, None] / n
+    terms *= probs[::-1, :a]
+    np.add.accumulate(terms, axis=0, out=terms)
+    return terms[rr, np.arange(a)]
+
+
+class TestReflectionTails:
+    """The reflection reads each tail as a prefix of the truncated-moment
+    partial sums less their total."""
+
+    @pytest.mark.parametrize("budget", [1, analysis.BLOCK_BYTES, 2 << 20])
+    @pytest.mark.parametrize("c_samples", [5, 21])
+    @pytest.mark.parametrize("ns", [range(2, 41), range(195, 201)], ids=["2..40", "195..200"])
+    def test_tails_match_the_downward_accumulation(self, monkeypatch, ns, c_samples, budget):
+        # F_n^c(1-x) is replaced by the reference tails of the same cells,
+        # so the reflection slot keeps the largest gap between the two
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", budget)
+        pending = []
+
+        def reference_kernel(n, xs, cs):
+            want_x, want_c, tails = pending.pop()
+            assert np.array_equal(xs, want_x) and np.array_equal(cs, want_c)
+            return tails
+
+        class Probe(analysis._KozniewskaSweep):
+            def block(self, cells, xb, rb, X, C, cum_a, cum_b, den, spare):
+                tails = reflection_tails_reference(self.n, xb, X, cum_a, cum_b, den, self.cs)
+                a = tails.size
+                pending[:] = [(1.0 - X[:a], C[:a], tails)]
+                super().block(cells, xb, rb, X, C, cum_a, cum_b, den, spare)
+                # the kernel ran on the active prefix, and only where there is one
+                assert len(pending) == (a == 0)
+
+        monkeypatch.setattr(analysis, "f_n_c_curve", reference_kernel)
+        for n in ns:
+            xs, cgrid = analysis._KozniewskaSweep.cells(n, np.linspace(0.0, 1.0, 2001), c_samples)
+            probe = Probe(n, c_samples)
+            analysis._sweep_n(n, xs, cgrid, [probe])
+            assert -probe.worst[n] <= 1e-15
+
+    def test_a_scaled_kernel_fails_the_reflection(self, monkeypatch):
+        kernel = analysis.f_n_c_curve
+        monkeypatch.setattr(analysis, "f_n_c_curve", lambda *args: kernel(*args) * (1.0 + 1e-9))
+        (rep,) = verify_sweep(range(2, 41), ["kozniewska"], GridSpec(points=401), 5)
+        assert not rep.passed
+        assert rep.witness["check"] == "reflection"
 
 
 class TestSweepBlocks:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polya_bernstein import polya
+from polya_bernstein import analysis, polya
+from polya_bernstein.numeric_core import binomial_row, factorial_ratio
 from polya_bernstein.polya import (
     AdmissibilityError,
     PolyaParams,
@@ -545,6 +546,41 @@ class TestTruncatedFirstMoment:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             truncated_first_moment(PolyaParams(4, 0.5, 0.5, 0.0), 1, method="bogus")
+
+    def test_closed_binomial_has_the_float_row_bits(self):
+        # m up to 1029, the largest n of the float binomial row
+        rng = np.random.default_rng(28)
+        for m in [*range(1, 65), *rng.integers(65, 1030, 30).tolist(), 1029]:
+            row = binomial_row(m)
+            for r in {0, m // 2, m, *rng.integers(0, m + 1, 4).tolist()}:
+                assert float(math.comb(m, r)).hex() == float(row[r]).hex()
+            if m > 1:
+                r = int(rng.integers(0, m))
+                params = PolyaParams(m + 1, 0.7, 0.3, -0.2 / m)
+                want = float(row[r]) * factorial_ratio(0.7, r, m + 1, -0.2 / m)
+                assert truncated_first_moment(params, r).hex() == want.hex()
+
+    def test_point_queries_build_no_binomial_row(self, monkeypatch):
+        calls = []
+        row = polya.binomial_row
+        counting = lambda *args, **kw: calls.append(args) or row(*args, **kw)  # noqa: E731
+        monkeypatch.setattr(polya, "binomial_row", counting)
+        monkeypatch.setattr(analysis, "binomial_row", counting)
+        for n in (2, 57, 199, 1030):
+            assert analysis.f_n_c(n, 0.9, -0.09 / (n - 1)) > 0.0
+            assert analysis.sikkema_function(n, 0.9, "rn") >= 1.0
+        assert calls == []
+
+    def test_closed_form_refuses_past_the_float_row(self, monkeypatch):
+        with pytest.raises(OverflowError) as row:
+            binomial_row(1030)
+        # refused before any integer is built
+        monkeypatch.setattr(math, "comb", lambda *args: pytest.fail("math.comb was called"))
+        with pytest.raises(OverflowError) as closed:
+            truncated_first_moment(PolyaParams(1031, 0.9, 0.1, 0.0), 120)
+        assert str(closed.value) == str(row.value) == "float binomial row capped at n = 1029, got n=1030"
+        with pytest.raises(OverflowError, match="capped at n = 1029"):
+            analysis.f_n_c(1031, 0.9, 0.0)
 
     @pytest.mark.parametrize("method", ["closed", "brute"])
     def test_validates_once(self, monkeypatch, method):

@@ -7,7 +7,8 @@ a fresh process, and prints one line per item: its name, its exit code, and
 the sha256 of its stdout, of its stderr and of every file it wrote (as
 ``path=sha256``).  Run it once per checkout, from the same copy of this
 script, and ``diff`` the two outputs.  Timings are not part of any output, so
-equal lines mean byte-identical results.
+equal lines mean byte-identical results.  A few items print their stdout
+in place of its sha256, so a changed number can be quoted from the diff.
 
 The commands are taken from ``perfbench/`` and ``tests/`` next to this script:
 
@@ -42,7 +43,11 @@ The commands are taken from ``perfbench/`` and ``tests/`` next to this script:
   with the report of a run without the variable (a checkout that still
   read it exits 2 there);
 * in process, the values of ``f_n_c_curve`` on a (3, 7) grid, under the rn
-  profile and at c = 0, and at a 0-d point, with their shapes.
+  profile and at c = 0, and at a 0-d point, with their shapes;
+* in process, printed in the digest line itself rather than hashed: the
+  ``repr`` of the Kozniewska report's ``worst_margin`` and witness at n =
+  195..200 (2001 points, 5 c-samples), of the closed truncated moment
+  at n = 200, and of its refusal at n = 1031, past the float binomial row.
 
 Every item runs in a fresh directory under a temporary root, removed at the
 end, and every path it is given is relative, so the outputs do not depend on
@@ -123,6 +128,19 @@ ONE_COLUMN_CALLS = {
     "pmf-normalised-c-overflows": "pmf(PolyaParams(3, 1e-300, 1e-300, 1e10))",
     "log-rising-past-the-boundary": "log_rising(0.5, 3, -0.4)",
 }
+# ONE_COLUMN expressions whose output the digest line shows.
+SHOWN_CALLS = {
+    "closed-moment": "truncated_first_moment(PolyaParams(200, 0.7, 0.3, -0.001), 120)",
+    "closed-moment-past-the-row": "truncated_first_moment(PolyaParams(1031, 0.9, 0.1, 0.0), 120)",
+}
+# Prints the repr of the Kozniewska report's worst margin and witness next
+# to N_MAX, where the reflection decides it.
+KOZNIEWSKA_TOP = """
+from polya_bernstein.analysis import verify_sweep
+from polya_bernstein.reports import GridSpec
+(rep,) = verify_sweep(range(195, 201), ["kozniewska"], GridSpec(points=2001), 5)
+print(repr(rep.worst_margin), repr(rep.witness))
+"""
 PB_WORKERS_VERIFY = ["verify", "--lemma", "--n", "2..3", "--points", "201"]
 # Prints the shape and the exact values of f_n_c_curve on each input.
 FNC_SHAPES = """
@@ -149,16 +167,18 @@ def _files(where: Path) -> dict[str, str]:
 
 
 def run(name: str, argv: list[str], cwd: Path, watch: Path | None = None,
-        env: dict[str, str] | None = None) -> None:
+        env: dict[str, str] | None = None, show: bool = False) -> None:
     """Run argv in cwd, in env (default this process's), and print its digest
-    line; the files written are those new or changed under watch (default
-    cwd), named relative to cwd."""
+    line, with its stdout itself in place of its sha256 if show; the files
+    written are those new or changed under watch (default cwd), named
+    relative to cwd."""
     watch = watch or cwd
     before = _files(watch)
     res = subprocess.run(argv, cwd=cwd, capture_output=True, env=env)
+    out = res.stdout.decode().strip().replace("\n", " | ") if show else _sha(res.stdout)
     written = [f"{os.path.relpath(p, cwd)}={h}" for p, h in _files(watch).items()
                if before.get(p) != h]
-    print(name, res.returncode, _sha(res.stdout), _sha(res.stderr), *written, flush=True)
+    print(name, res.returncode, out, _sha(res.stderr), *written, flush=True)
 
 
 def main() -> None:
@@ -217,6 +237,9 @@ def digest(root: Path) -> None:
         run(f"pb-workers-{value}", [*PBOP, *PB_WORKERS_VERIFY], fresh(),
             env={**os.environ, "PB_WORKERS": value})
     run("f-n-c-curve-shapes", [sys.executable, "-c", FNC_SHAPES], fresh())
+    run("kozniewska-top", [sys.executable, "-c", KOZNIEWSKA_TOP], fresh(), show=True)
+    for name, call in SHOWN_CALLS.items():
+        run(name, [sys.executable, "-c", ONE_COLUMN, call], fresh(), show=True)
 
 
 if __name__ == "__main__":
