@@ -199,19 +199,6 @@ def operator_curve(f: FunctionSpec, n: int, xs: np.ndarray, profile: CProfile) -
     return np.asarray(f(k / n)) @ probs
 
 
-def _modulus_window(delta: float, resolution: int) -> int:
-    """Grid steps within delta on a uniform grid of resolution+1 points."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0,1], got {delta}")
-    if resolution < 100:
-        raise ValueError(f"resolution must be >= 100, got {resolution}")
-    return int(math.floor(delta * resolution + 1e-9))
-
-
-def _modulus_samples(f: FunctionSpec, resolution: int) -> np.ndarray:
-    return np.asarray(f(np.linspace(0.0, 1.0, resolution + 1)), dtype=float)
-
-
 def _window_spread(vals: np.ndarray, window: int) -> float:
     """Largest max - min of vals over runs of window+1 consecutive samples.
 
@@ -238,44 +225,47 @@ def _window_spread(vals: np.ndarray, window: int) -> float:
     return float((ext[0] - ext[1]).max())
 
 
-def modulus_of_continuity(f: FunctionSpec, delta: float, resolution: int = OMEGA_RESOLUTION) -> float:
+def modulus_of_continuity(f: FunctionSpec, delta, resolution: int = OMEGA_RESOLUTION):
     """Grid modulus of continuity: max |f(u)-f(v)| over grid pairs with
-    |u-v| <= delta, on a uniform grid of resolution+1 points.
-
-    The largest spread over every window of floor(delta * resolution) + 1
-    consecutive samples, from O(M) block window extrema.  This is an
-    under-estimate of the true modulus; raise the resolution to tighten it.
+    |u-v| <= delta, on a uniform grid of resolution+1 points, as the largest
+    spread over every window of floor(delta * resolution) + 1 consecutive
+    samples (O(M) block window extrema).  A float delta gives a float, an
+    array of them an array of its shape, from one sampling of f.  This is
+    an under-estimate of the true modulus; raise the resolution to tighten it.
     """
-    window = _modulus_window(delta, resolution)
-    return _window_spread(_modulus_samples(f, resolution), window)
+    deltas = np.asarray(delta, dtype=float)
+    if not np.all((deltas > 0.0) & (deltas <= 1.0)):
+        raise ValueError(f"delta must lie in (0,1], got {delta}")
+    if resolution < 100:
+        raise ValueError(f"resolution must be >= 100, got {resolution}")
+    vals = np.asarray(f(np.linspace(0.0, 1.0, resolution + 1)), dtype=float)
+    windows = np.floor(deltas * resolution + 1e-9).astype(int).ravel().tolist()
+    spreads = [_window_spread(vals, window) for window in windows]
+    return spreads[0] if deltas.ndim == 0 else np.reshape(spreads, deltas.shape)
 
 
 def popoviciu_scan(
     f: FunctionSpec, ns: Iterable[int], grid: GridSpec, operator: str = "rn"
 ) -> ScanReport:
     """Per-n and global sup over the grid of |Op(f;x) - f(x)| / omega(n^{-1/2}),
-    with omega on a grid of OMEGA_RESOLUTION + 1 points.
+    with every n's omega from one :func:`modulus_of_continuity` call.
 
     operator is "bernstein" (the zero profile) or "rn".  ns follows the n
-    rule of every sweep (distinct, sorted, 2..N_MAX).  f is sampled once on
-    the modulus grid and once on the scan grid, and each n's ratio curve
+    rule of every sweep (distinct, sorted, 2..N_MAX).  Each n's ratio curve
     feeds :meth:`ScanReport.from_curves`, the reduction of every scan.
-    Rejects (near-)constant f, whose ratio is 0/0.
+    Rejects f constant on the modulus grid, whose ratio is 0/0, up front.
     """
     if operator not in ("bernstein", "rn"):
         raise ValueError(f"unknown operator {operator!r}")
     profile = _ZERO if operator == "bernstein" else _RN
     ns = _parse_n_range(ns)
     _check_cells((ns[-1] + 1) * grid.points, "an operator curve")
-    vals = _modulus_samples(f, OMEGA_RESOLUTION)
+    omegas = modulus_of_continuity(f, [n ** -0.5 for n in ns])
+    if (omegas <= 0.0).any():
+        raise ValueError(f"function {f.name!r} is constant on the grid; ratio undefined")
     xs = np.linspace(0.0, 1.0, grid.points)
     fx = np.asarray(f(xs))
-
-    def ratios(n: int):
-        omega = _window_spread(vals, _modulus_window(n ** -0.5, OMEGA_RESOLUTION))
-        if omega <= 0.0:
-            raise ValueError(f"function {f.name!r} is constant on the grid; ratio undefined")
-        return xs, np.abs(operator_curve(f, n, xs, profile) - fx) / omega
-
+    curves = ((n, (xs, np.abs(operator_curve(f, n, xs, profile) - fx) / omega))
+              for n, omega in zip(ns, omegas))
     meta = {"operator": operator, "function": f.name, "kind": "popoviciu-ratio"}
-    return ScanReport.from_curves(zip(ns, map(ratios, ns)), grid, meta)
+    return ScanReport.from_curves(curves, grid, meta)

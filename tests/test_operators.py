@@ -138,9 +138,15 @@ class TestPolyaOperator:
         for f in BUILTIN_FUNCTIONS.values():
             for profile in profiles:
                 for n in rng.integers(2, 201, size=4).tolist():
-                    for x in (0.0, 1.0, *rng.uniform(0.0, 1.0, size=3).tolist()):
+                    xs = [0.0, 1.0, *rng.uniform(0.0, 1.0, size=3).tolist()]
+                    got = [polya_operator_eval(f, n, x, profile) for x in xs]
+                    for x, value in zip(xs, got):
                         want = float(operator_curve(f, n, np.array([x]), profile)[0])
-                        assert polya_operator_eval(f, n, x, profile) == want, (f.name, n, x)
+                        assert value == want, (f.name, n, x)
+                    # a grid's value at x may differ by an ulp: numpy's power
+                    # and matmul kernels depend on the shape
+                    grid = operator_curve(f, n, np.array(xs), profile)
+                    assert np.abs(grid - got).max() <= 1e-15, (f.name, n)
 
     def test_every_route_checks_the_pmf_sum(self, monkeypatch):
         # a binomial row 1e-9 too large or too small makes every interior
@@ -311,12 +317,32 @@ class TestModulusOfContinuity:
                     bound = (1 + max(0, strict_floor_bracket(lam))) * base
                     assert lhs <= bound + 1e-3, (name, delta, lam)
 
+    def test_an_array_of_deltas_is_the_scalar_calls_bit_for_bit(self):
+        deltas = [n ** -0.5 for n in range(2, 201)]
+        knots = np.linspace(0.0, 1.0, 25)
+        table = function_from_samples(knots, np.random.default_rng(3).normal(size=25))
+        for f in (*BUILTIN_FUNCTIONS.values(), table):
+            got = modulus_of_continuity(f, deltas)
+            want = [modulus_of_continuity(f, delta) for delta in deltas]
+            assert isinstance(want[0], float) and got.shape == (199,)
+            assert got.tolist() == want, f.name
+            grid = modulus_of_continuity(f, np.reshape(deltas[:198], (18, 11)))
+            assert grid.shape == (18, 11) and grid.ravel().tolist() == want[:198]
+
     def test_rejects_bad_inputs(self):
         f = builtin_function("linear")
         with pytest.raises(ValueError):
             modulus_of_continuity(f, 0.0)
-        with pytest.raises(ValueError):
-            modulus_of_continuity(f, 0.5, resolution=10)
+        # one bad delta anywhere refuses the whole array
+        for bad in (0.0, 1.5, math.nan):
+            for where in (0, 100, -1):
+                deltas = [n ** -0.5 for n in range(2, 201)]
+                deltas[where] = bad
+                with pytest.raises(ValueError, match=r"delta must lie in \(0,1\]"):
+                    modulus_of_continuity(f, deltas)
+        for delta in (0.5, [0.5, 0.25]):
+            with pytest.raises(ValueError, match="resolution must be >= 100"):
+                modulus_of_continuity(f, delta, resolution=10)
 
 
 def deque_window_spread(vals, window):
@@ -459,9 +485,15 @@ class TestPopoviciuRatio:
         rep = popoviciu_scan(builtin_function("abs-mid"), [6], self.GRID, "bernstein")
         assert rep.sup <= 1.0898874
 
-    def test_rejects_constant_function(self):
-        with pytest.raises(ValueError, match="constant"):
-            popoviciu_scan(CONST_ONE, [6], self.GRID, "rn")
+    def test_rejects_constant_function(self, monkeypatch):
+        def no_curve(*args):
+            raise AssertionError("a constant function reached operator_curve")
+
+        # refused from the one modulus call, before any operator curve
+        monkeypatch.setattr(operators, "operator_curve", no_curve)
+        for ns in ([6], range(2, 201)):
+            with pytest.raises(ValueError, match="'one' is constant on the grid"):
+                popoviciu_scan(CONST_ONE, ns, self.GRID, "rn")
 
     def test_report_witness_reproduces_sup(self):
         f = builtin_function("sawtooth")
@@ -506,6 +538,19 @@ class TestPopoviciuScan:
         rep = popoviciu_scan(zero, [2, 3, 4], self.GRID)
         assert rep.per_n == ((2, 0.5, 0.1), (3, 0.75, 0.2), (4, 0.75, 0.3))
         assert (rep.argmax_n, rep.sup, rep.argmax_x) == (3, 0.75, 0.2)
+
+    def test_one_modulus_call_per_scan(self, monkeypatch):
+        calls, true_modulus = [], operators.modulus_of_continuity
+
+        def counted(f, delta, *args):
+            calls.append(delta)
+            return true_modulus(f, delta, *args)
+
+        monkeypatch.setattr(operators, "modulus_of_continuity", counted)
+        f = builtin_function("sawtooth")
+        rep = popoviciu_scan(f, [2, 5, 40], self.GRID)
+        assert calls == [[2 ** -0.5, 5 ** -0.5, 40 ** -0.5]]
+        assert [row[0] for row in rep.per_n] == [2, 5, 40]
 
     def test_unsorted_and_duplicate_n_give_sorted_rows(self):
         f = builtin_function("sqrt")

@@ -47,7 +47,12 @@ The commands are taken from ``perfbench/`` and ``tests/`` next to this script:
 * in process, printed in the digest line itself rather than hashed: the
   ``repr`` of the Kozniewska report's ``worst_margin`` and witness at n =
   195..200 (2001 points, 5 c-samples), of the closed truncated moment
-  at n = 200, and of its refusal at n = 1031, past the float binomial row.
+  at n = 200, and of its refusal at n = 1031, past the float binomial row;
+* in process, also printed in the digest line: the ``repr`` (or the error)
+  of ``modulus_of_continuity`` of the sawtooth on the array of every
+  ``n ** -0.5``, n = 2..200, the one call a Popoviciu scan makes;
+* ``scan --popoviciu --fn-csv const.csv --n 2..5`` on a constant two-knot
+  table, refused for its 0/0 ratio.
 
 Every item runs in a fresh directory under a temporary root, removed at the
 end, and every path it is given is relative, so the outputs do not depend on
@@ -141,6 +146,18 @@ from polya_bernstein.reports import GridSpec
 (rep,) = verify_sweep(range(195, 201), ["kozniewska"], GridSpec(points=2001), 5)
 print(repr(rep.worst_margin), repr(rep.witness))
 """
+# Prints the repr, or the error, of the sawtooth's modulus at every n ** -0.5
+# of a scan, each value in its shortest round-trip digits.
+MODULUS_ARRAY = """
+import numpy as np
+from polya_bernstein.operators import builtin_function, modulus_of_continuity
+np.set_printoptions(floatmode="unique", linewidth=100_000)
+try:
+    print(repr(modulus_of_continuity(builtin_function("sawtooth"), [n ** -0.5 for n in range(2, 201)])))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+CONST_TABLE_SCAN = ["scan", "--popoviciu", "--fn-csv", "const.csv", "--n", "2..5"]
 PB_WORKERS_VERIFY = ["verify", "--lemma", "--n", "2..3", "--points", "201"]
 # Prints the shape and the exact values of f_n_c_curve on each input.
 FNC_SHAPES = """
@@ -240,6 +257,10 @@ def digest(root: Path) -> None:
     run("kozniewska-top", [sys.executable, "-c", KOZNIEWSKA_TOP], fresh(), show=True)
     for name, call in SHOWN_CALLS.items():
         run(name, [sys.executable, "-c", ONE_COLUMN, call], fresh(), show=True)
+    run("modulus-array", [sys.executable, "-c", MODULUS_ARRAY], fresh(), show=True)
+    where = fresh()
+    (where / "const.csv").write_text("x,fx\n0,1\n1,1\n")
+    run("refuse-constant-table", [*PBOP, *CONST_TABLE_SCAN], where)
 
 
 if __name__ == "__main__":
