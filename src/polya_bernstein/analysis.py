@@ -26,8 +26,11 @@ c <= 0 comparison ("lemma"), the closed form against brute-force pmf sums
 ("kozniewska"), and the open monotonicity-in-c conjecture ("conjecture").
 Each check declares its point-major layout of (x, c) cells, and one per-n
 engine, :func:`_sweep_n`, runs every check of a layout in one loop over
-blocks of cells, with one witness rule, :func:`_first_min`, under which
-the first cell of an extreme value wins.
+blocks of cells.  Under one witness rule, :func:`_first_min`, the first
+cell of an extreme value wins: each check's per-n result,
+:meth:`_Sweep.result`, is per kind of slot its first smallest value and
+witness, and one reduction in :func:`verify_sweep` keeps the first n of
+each and builds every report.
 
 F_n^c jumps at the breakpoints x = 1/sqrt(n) + k/n where r(x) changes, and
 S_n^c at x = k/n +- m/sqrt(n) where a bracket changes, so sup scans refine
@@ -299,6 +302,7 @@ def scan_sup(
     ns = _parse_n_range(n_range)
     if grid.points < 1000:
         raise ValueError(f"sup scans need >= 1000 grid points, got {grid.points}")
+    _check_cells(grid.points, "a sup scan")
     _profile(c_mode)  # validate mode early
     if bound is None:
         bound = "bracket" if c_mode == "zero" else "majorant"
@@ -342,7 +346,7 @@ def _first_min(worst: np.ndarray, where: np.ndarray, values: np.ndarray, cells) 
         where[better] = np.broadcast_to(cells, values.shape)[better, j[better]]
 
 
-def _sweep_n(n: int, xs: np.ndarray, cgrid: np.ndarray, sweeps: list) -> list[dict[str, Any]]:
+def _sweep_n(n: int, xs: np.ndarray, cgrid: np.ndarray, sweeps: list) -> list[tuple]:
     """One pass of the verifier sweeps over the (x, c) cells of one n: cell
     g*cs + j holds x = xs[g] and c = cgrid[g, j].  Each block of whole grid
     points has its rising products computed once, for every sweep in list
@@ -370,7 +374,15 @@ def _sweep_n(n: int, xs: np.ndarray, cgrid: np.ndarray, sweeps: list) -> list[di
 
 class _Sweep:
     """Per-n state of a verifier check: per slot, the smallest value seen in
-    worst and its cell in where, kept by :func:`_first_min`."""
+    worst and its cell in where, kept by :func:`_first_min`.
+
+    A check names its claim, tolerance and number of slot kinds (the last
+    axis of worst if more than one); its verdict(kinds, checked, ns) turns
+    the kinds reduced over n into passed and details.  An exploratory check
+    reports a finding, not a failure."""
+
+    kinds = 1
+    exploratory = False
 
     def __init__(self, n: int, cs: int, slots):
         self.n, self.cs, self.checked = n, cs, 0
@@ -384,9 +396,19 @@ class _Sweep:
         -min{x,1-x}/(n-1) up to 0."""
         return xs, _RN.c_at(xs, n)[:, None] * np.linspace(1.0, 0.0, c_samples)
 
-    def witness(self, X: np.ndarray, C: np.ndarray, slot, **extra) -> dict[str, Any]:
-        cell = self.where[slot]
-        return {"n": self.n, "x": float(X[cell]), "c": float(C[cell]), **extra}
+    def witness(self, slot: tuple[int, ...], cell: int, X, C) -> dict[str, Any]:
+        """Where a slot's value was kept: slot[0] is its truncation level r."""
+        return {"n": self.n, "x": float(X[cell]), "c": float(C[cell]), "r": slot[0]}
+
+    def result(self, X: np.ndarray, C: np.ndarray) -> tuple[list[tuple[float, dict]], int]:
+        """Per slot kind, the first smallest value and its witness ({} where
+        nothing was kept), and the number of values checked."""
+        kept = []
+        for kind, i in enumerate(np.argmin(self.worst.reshape(-1, self.kinds), axis=0).tolist()):
+            slot = tuple(map(int, np.unravel_index(i * self.kinds + kind, self.worst.shape)))
+            value = float(self.worst[slot])
+            kept.append((value, self.witness(slot, self.where[slot], X, C) if value < math.inf else {}))
+        return kept, self.checked
 
 
 class _LemmaSweep(_Sweep):
@@ -401,7 +423,11 @@ class _LemmaSweep(_Sweep):
     two sides are compared through their logs.
 
     Slot (r, 0) keeps the worst margin of r, slot (r, 1) its worst failing
-    strict margin."""
+    strict margin: two kinds."""
+
+    claim_id = "rising-factorial-inequality"
+    tolerance = LEMMA_TOL
+    kinds = 2
 
     def __init__(self, n: int, c_samples: int):
         super().__init__(n, c_samples, (n, 2))
@@ -438,33 +464,12 @@ class _LemmaSweep(_Sweep):
             if f.size:
                 _first_min(self.worst[r, 1:], self.where[r, 1:], margin[r, f][None], cells[f])
 
-    def result(self, X: np.ndarray, C: np.ndarray) -> dict[str, Any]:
-        r, s = np.argmin(self.worst, axis=0).tolist()  # first r of each kind's smallest margin
-        worst, strict = float(self.worst[r, 0]), float(self.worst[s, 1])
-        return {
-            "worst": worst,
-            "witness": self.witness(X, C, (r, 0), r=r) if worst < math.inf else {},
-            "strict_worst": strict,
-            "strict_witness": self.witness(X, C, (s, 1), r=s) if strict < math.inf else {},
-            "checked": self.checked,
-        }
-
     @staticmethod
-    def report(results: list[dict[str, Any]]) -> VerificationReport:
-        """Reduce the per-n results, in n order, to one report: the first
-        smallest margin and the first smallest failing strict margin."""
-        best = min(results, key=lambda res: res["worst"])
-        strict_witness = min(results, key=lambda res: res["strict_worst"])["strict_witness"]
+    def verdict(kinds, checked: int, ns: list[int]) -> tuple[bool, dict[str, Any]]:
+        (worst, _), (_, strict_witness) = kinds
         strict_ok = not strict_witness
-        return VerificationReport(
-            claim_id="rising-factorial-inequality",
-            passed=best["worst"] >= -LEMMA_TOL and strict_ok,
-            worst_margin=best["worst"],
-            witness=best["witness"],
-            samples_checked=sum(res["checked"] for res in results),
-            tolerance=LEMMA_TOL,
-            details={"strict_ok": strict_ok, "strict_witness": strict_witness},
-        )
+        return worst >= -LEMMA_TOL and strict_ok, {"strict_ok": strict_ok,
+                                                   "strict_witness": strict_witness}
 
 
 class _KozniewskaSweep(_Sweep):
@@ -474,7 +479,11 @@ class _KozniewskaSweep(_Sweep):
     reflection identity against F_n^c(1-x), over the (x, c) sweep.
 
     Slot r < n keeps the negated worst difference of level r, slot n that
-    of the reflection, so the first cell of the largest difference wins."""
+    of the reflection, so the first cell of the largest difference wins and
+    a tie keeps the truncated moment over the reflection."""
+
+    claim_id = "kozniewska-identity"
+    tolerance = IDENTITY_TOL
 
     def __init__(self, n: int, c_samples: int):
         super().__init__(n, c_samples, n + 1)
@@ -512,26 +521,16 @@ class _KozniewskaSweep(_Sweep):
         _first_min(self.worst[n:], self.where[n:], rdiff[None], cells)
         self.checked += (n + 1) * X.size  # n truncation levels and the reflection
 
-    def result(self, X: np.ndarray, C: np.ndarray) -> dict[str, Any]:
-        r = int(np.argmin(self.worst))  # a tie keeps the truncated moment over the reflection
-        witness = (self.witness(X, C, r, check="truncated-moment", r=r) if r < self.n
-                   else self.witness(X, C, r, check="reflection"))
-        return {"worst_diff": -float(self.worst[r]), "witness": witness, "checked": self.checked}
+    def witness(self, slot, cell, X, C) -> dict[str, Any]:
+        w = super().witness(slot, cell, X, C)
+        if w.pop("r") < self.n:
+            return {**w, "check": "truncated-moment", "r": slot[0]}
+        return {**w, "check": "reflection"}
 
     @staticmethod
-    def report(results: list[dict[str, Any]]) -> VerificationReport:
-        """Reduce the per-n results, in n order, to one report: the first
-        largest difference."""
-        best = max(results, key=lambda res: res["worst_diff"])
-        return VerificationReport(
-            claim_id="kozniewska-identity",
-            passed=best["worst_diff"] <= IDENTITY_TOL,
-            worst_margin=-best["worst_diff"],
-            witness=best["witness"],
-            samples_checked=sum(res["checked"] for res in results),
-            tolerance=IDENTITY_TOL,
-            details={"worst_abs_diff": best["worst_diff"]},
-        )
+    def verdict(kinds, checked: int, ns: list[int]) -> tuple[bool, dict[str, Any]]:
+        ((worst, _),) = kinds  # the negated difference: -0.0 for none
+        return -worst <= IDENTITY_TOL, {"worst_abs_diff": -worst}
 
 
 # The upper end of the conjecture's c range.
@@ -545,7 +544,12 @@ class _ConjectureSweep(_Sweep):
     0 <= r <= n x - sqrt(n).
 
     Slot (r, k) keeps the most negative step from c grid entry k to k + 1,
-    at the cell of its lower c."""
+    at the cell of its lower c.  A violation is a finding, not a failure:
+    the conjecture is open."""
+
+    claim_id = "monotone-in-c-conjecture"
+    tolerance = LEMMA_TOL
+    exploratory = True
 
     def __init__(self, n: int, c_samples: int):
         if c_samples < 2:
@@ -571,39 +575,17 @@ class _ConjectureSweep(_Sweep):
             self.checked += int(steps.size)
             _first_min(self.worst[r], self.where[r], steps, cells[s:].reshape(-1, cs)[:, :-1].T)
 
-    def result(self, X: np.ndarray, C: np.ndarray) -> dict[str, Any]:
-        r, k = np.unravel_index(np.argmin(self.worst), self.worst.shape)
-        worst = float(self.worst[r, k])
-        witness = {}
-        if worst < math.inf:
-            cell = self.where[r, k]
-            witness = {"n": self.n, "x": float(X[cell]), "r": int(r),
-                       "c_lo": float(C[cell]), "c_hi": float(C[cell + 1])}
-        return {"n": self.n, "worst": worst, "witness": witness, "checked": self.checked}
+    def witness(self, slot, cell, X, C) -> dict[str, Any]:
+        return {"n": self.n, "x": float(X[cell]), "r": slot[0],
+                "c_lo": float(C[cell]), "c_hi": float(C[cell + 1])}
 
     @staticmethod
-    def report(results: list[dict[str, Any]]) -> VerificationReport:
-        """Reduce the per-n results, in n order, to one report: the first
-        most negative step.  A monotonicity violation is surfaced as a
-        witness (``finding``), not a failure; the conjecture is open.  A
-        sweep that checks no cell is rejected."""
-        checked = sum(res["checked"] for res in results)
+    def verdict(kinds, checked: int, ns: list[int]) -> tuple[bool, dict[str, Any]]:
         if not checked:
             raise ValueError(
-                f"the conjecture sweep checks no cell for n in {results[0]['n']}..{results[-1]['n']}: "
+                f"the conjecture sweep checks no cell for n in {ns[0]}..{ns[-1]}: "
                 "no grid point 0 < x < 1 has r <= n x - sqrt(n); raise --points")
-        best = min(results, key=lambda res: res["worst"])
-        monotone = best["worst"] >= -LEMMA_TOL
-        return VerificationReport(
-            claim_id="monotone-in-c-conjecture",
-            passed=monotone,
-            worst_margin=best["worst"],
-            witness=best["witness"],
-            samples_checked=checked,
-            tolerance=LEMMA_TOL,
-            finding=not monotone,
-            details={"c_max": CONJECTURE_C_MAX},
-        )
+        return kinds[0][0] >= -LEMMA_TOL, {"c_max": CONJECTURE_C_MAX}
 
 
 # Run in this order on each block: the Kozniewska check overwrites the
@@ -612,9 +594,10 @@ class _ConjectureSweep(_Sweep):
 SWEEPS = {"lemma": _LemmaSweep, "kozniewska": _KozniewskaSweep, "conjecture": _ConjectureSweep}
 
 
-def _verify_sweep_one(checks, grid: GridSpec, c_samples: int, n: int) -> dict[str, dict[str, Any]]:
-    """The requested checks of one n: one engine pass per distinct cell
-    layout, shared by every check that declares it."""
+def _verify_sweep_one(checks, grid: GridSpec, c_samples: int, n: int) -> dict[str, tuple]:
+    """The :meth:`_Sweep.result` of each requested check at one n: one
+    engine pass per distinct cell layout, shared by every check that
+    declares it."""
     xs = np.linspace(0.0, 1.0, grid.points)
     sweeps = {name: SWEEPS[name](n, c_samples) for name in checks}
     results = {}
@@ -638,14 +621,27 @@ def verify_sweep(
     lemma and Kozniewska checks share a layout, so their rising products
     are computed once.  See :class:`_LemmaSweep`,
     :class:`_KozniewskaSweep` and :class:`_ConjectureSweep` for what each
-    checks."""
+    checks.  Each report keeps, per slot kind, the first n of the smallest
+    value; the first kind is its worst_margin and witness."""
     if not checks or not set(checks) <= set(SWEEPS):
         raise ValueError(f"checks must be a nonempty subset of {', '.join(SWEEPS)}")
     ns = _parse_n_range(n_range)
     _check_cells(grid.points * c_samples, "a verifier sweep")
     todo = tuple(name for name in SWEEPS if name in checks)
     results = list(_map_over_n(partial(_verify_sweep_one, todo, grid, c_samples), ns, workers))
-    return [SWEEPS[name].report([res[name] for res in results]) for name in todo]
+    reports = []
+    for name in todo:
+        check = SWEEPS[name]
+        kept, counts = zip(*(res[name] for res in results))
+        # per slot kind, the first n of the smallest value, with its witness
+        kinds = [min(per_n, key=lambda value_witness: value_witness[0]) for per_n in zip(*kept)]
+        checked = sum(counts)
+        passed, details = check.verdict(kinds, checked, ns)
+        reports.append(VerificationReport(
+            claim_id=check.claim_id, passed=passed, worst_margin=kinds[0][0],
+            witness=kinds[0][1], samples_checked=checked, tolerance=check.tolerance,
+            finding=not passed if check.exploratory else None, details=details))
+    return reports
 
 
 N6_INTERVAL_BOUND = 0.0072168      # interval (1/sqrt(6), 1/2]
@@ -669,8 +665,10 @@ def n6_case_check() -> VerificationReport:
     """
     n = 6
     s = 1.0 / math.sqrt(6.0)
-    xs, vals = scan_curve(n, "rn", GridSpec(points=N6_GRID_POINTS), "majorant")
+    xs = _sym_scan_grid(n, GridSpec(points=N6_GRID_POINTS), breakpoints(n))
     f = f_n_c_curve(n, xs, _RN.c_at(xs, n))
+    # f[::-1] is F(1-x) bit for bit: the grid is closed under x -> 1-x and c(x) = c(1-x)
+    vals = 1.0 + math.sqrt(n) * (f + f[::-1])
     sup_i = float(f[(xs > s) & (xs <= 0.5)].max())
     sup_ii = float(np.abs(f[(xs > 0.5) & (xs <= s + 1.0 / 6.0)]).max())
     checks = {

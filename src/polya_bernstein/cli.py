@@ -24,11 +24,10 @@ DEFAULT_C_SAMPLES = 21
 def _parse_range(text: str) -> range:
     """Inclusive range 'lo..hi', or a single integer.  A range, not a list,
     so a scan can check its bounds before any n is built."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    try:
+        lo, hi = map(int, text.split("..", 1) if ".." in text else (text, text))
+    except ValueError:
+        raise click.UsageError(f"n range {text!r} is not lo..hi or one integer") from None
     if hi < lo:
         raise click.UsageError(f"empty range {text!r}")
     return range(lo, hi + 1)
@@ -82,6 +81,7 @@ def cmd_eval(op, fn, fn_csv, n, x, c, grid_points, out):
     if x is not None:
         click.echo(repr(operators.polya_operator_eval(f, n, x, profile)))
         return
+    operators._check_size(n, grid_points)  # before the grid is built
     xs = np.linspace(0.0, 1.0, grid_points)
     curve = operators.operator_curve(f, n, xs, profile)
     fx = np.asarray(f(xs))
@@ -179,6 +179,7 @@ def cmd_compare(fn, fn_csv, n, points, out):
     f = _function(fn, fn_csv)
     if n <= 1:
         raise click.UsageError(f"compare requires n > 1, got {n}")
+    operators._check_size(n, points)  # before the grid is built
     xs = np.linspace(0.0, 1.0, points)
     fx = np.asarray(f(xs))
     err_b, err_r = (operators.operator_curve(f, n, xs, operators.CProfile(kind)) - fx

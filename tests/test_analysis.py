@@ -826,6 +826,28 @@ class TestSweepBlocks:
         fused = verify_sweep(range(2, 9), ["lemma", "kozniewska", "conjecture"], self.GRID, 5)
         assert [r.to_json_dict() for r in fused] == self.reports()[:3]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("ns", [range(2, 9), range(4, 9)], ids=["2..8", "4..8"])
+    @pytest.mark.parametrize("check", ["lemma", "kozniewska", "conjecture"])
+    def test_one_reduction_over_n(self, check, ns, workers):
+        """A sweep over ns reports what the sweep of each n alone reports at
+        the first smallest margin, and the total count.  In 4..8 the lemma's
+        smallest margin ties at n = 4, 5, 6 and 7, and n = 4 is kept."""
+        (whole,) = verify_sweep(ns, [check], self.GRID, 5, workers)
+        alone = [verify_sweep([n], [check], self.GRID, 5)[0] for n in ns]
+        first = min(alone, key=lambda rep: rep.worst_margin)
+        assert repr((whole.worst_margin, whole.witness, whole.samples_checked)) == repr(
+            (first.worst_margin, first.witness, sum(rep.samples_checked for rep in alone)))
+        if (check, ns) == ("lemma", range(4, 9)):
+            assert [rep.worst_margin for rep in alone].count(first.worst_margin) == 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_reduction_of_the_strict_kind(self, monkeypatch, workers):
+        # the lemma's second kind, the failing strict margins, reduced over n
+        monkeypatch.setattr(analysis, "STRICT_C_CUTOFF", 0.5)
+        (rep,) = verify_sweep(range(4, 9), ["lemma"], GridSpec(points=201), 5, workers)
+        assert rep.details["strict_witness"] == strict_witness_oracle(range(4, 9), 201, 5)
+
     def test_rejects_unknown_checks(self):
         for checks in ((), ("lemma", "n6")):
             with pytest.raises(ValueError):
@@ -907,6 +929,15 @@ class TestN6Case:
         assert details["vanishing_piece_sup"]["value"] <= 1e-14
         assert details["global_sup"]["value"] <= 0.014271 + 1e-6
         assert details["sikkema_sup"]["value"] <= 1.0699134 + 1e-6
+
+    @pytest.mark.parametrize("points", [1001, 2001])
+    def test_one_kernel_call_gives_the_scanned_majorant(self, points):
+        # what n6_case_check reads: on the grid closed under x -> 1-x, F(1-x)
+        # is the reversed F, bit for bit
+        for n in (2, 3, 6, 7, 40, 199, 200):
+            xs, vals = scan_curve(n, "rn", GridSpec(points=points), "majorant")
+            f = f_n_c_curve(n, xs, CProfile("rn").c_at(xs, n))
+            assert np.array_equal(1.0 + math.sqrt(n) * (f + f[::-1]), vals)
 
     def test_values_are_pinned(self):
         # a change of grid or kernel that moves any of the four sups shows here

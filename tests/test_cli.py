@@ -292,6 +292,21 @@ class TestFailurePaths:
         err = json.loads(res.stderr)
         assert err["error"] == "usage"
 
+    @pytest.mark.parametrize("args", [
+        ["scan", "--sikkema", "--n", "a..b"],
+        ["verify", "--lemma", "--n", "2..3.5"],
+        ["verify", "--lemma", "--n", "two"],
+    ])
+    def test_n_range_that_is_not_integers_is_usage_error(self, capsys, args):
+        # a usage error that names the text, not int()'s ValueError
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "usage" and repr(args[-1]) in err["message"]
+
     def test_bad_workers(self):
         res = run_main(["scan", "--sikkema", "--n", "2..3", "--workers", "0"])
         assert res.returncode == 2
@@ -637,13 +652,19 @@ class TestResources:
         ["scan", "--popoviciu", "--fn", "sqrt", "--n", "2..200", "--points", "1000000"],
         ["verify", "--lemma", "--n", "2..3", "--points", "2001", "--c-samples", "1000000"],
         ["verify", "--conjecture", "--n", "2..3", "--points", "1000000", "--c-samples", "21"],
+        ["eval", "--op", "rn", "--fn", "sqrt", "--n", "200", "--grid-points", "1000000000000",
+         "--out", "{tmp}"],
+        ["compare", "--fn", "sqrt", "--n", "200", "--points", "1000000000000", "--out", "{tmp}"],
+        ["scan", "--sikkema", "--n", "2", "--points", "1000000000000", "--workers", "1"],
     ], ids=["eval-rn", "eval-bernstein", "compare", "popoviciu", "verify-c-samples",
-            "verify-points"])
+            "verify-points", "eval-grid-1e12", "compare-grid-1e12", "sikkema-grid-1e12"])
     def test_request_over_the_cell_cap_is_rejected_before_it_is_built(
             self, tmp_path, peak_rss, args):
-        """(n+1) x points operator cells, or points x c-samples verifier
-        cells, over reports.CELLS_MAX per n exit 2 before the arrays are
-        built (here 200 x 10^6 cells, tens of GiB unchecked)."""
+        """(n+1) x points operator cells, points x c-samples verifier cells,
+        or the base points of a Sikkema scan, over reports.CELLS_MAX per n
+        exit 2 before the arrays are built (here 200 x 10^6 cells, tens of
+        GiB unchecked).  The 10^12-point grids show the order: built before
+        the check, their grid alone fails to allocate 7.28 TiB."""
         out = tmp_path / "out.csv"
         args = [a.format(tmp=out) for a in args]
         res = run_main(args)

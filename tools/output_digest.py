@@ -52,7 +52,15 @@ The commands are taken from ``perfbench/`` and ``tests/`` next to this script:
   of ``modulus_of_continuity`` of the sawtooth on the array of every
   ``n ** -0.5``, n = 2..200, the one call a Popoviciu scan makes;
 * ``scan --popoviciu --fn-csv const.csv --n 2..5`` on a constant two-knot
-  table, refused for its 0/0 ratio.
+  table, refused for its 0/0 ratio;
+* in process, printed in the digest line: the ``repr`` of the lemma report
+  at n = 2..8 (201 points, 5 c-samples) with ``STRICT_C_CUTOFF = 0.5``,
+  whose strict witness is not empty;
+* ``verify --conjecture --n 2 --points 3``, a conjecture sweep that checks
+  no cell;
+* refusals of 10^12-point grids by ``eval --grid-points``, ``compare`` and
+  ``scan --sikkema`` and ``--popoviciu``, and of ``--n`` ranges that are
+  not integers (``a..b``, ``2..3.5``).
 
 Every item runs in a fresh directory under a temporary root, removed at the
 end, and every path it is given is relative, so the outputs do not depend on
@@ -169,6 +177,27 @@ for xs, cs in ((grid, CProfile("rn").c_at(grid, 12)), (grid, 0.0), (np.asarray(0
     out = f_n_c_curve(12, xs, cs)
     print(out.shape, repr(out.tolist()))
 """
+# Prints the repr of the lemma report with every c strict, so that the c = 0
+# cells fail the strict form and its strict witness is not empty.
+STRICT_WITNESS = """
+from polya_bernstein import analysis
+from polya_bernstein.reports import GridSpec
+analysis.STRICT_C_CUTOFF = 0.5
+(rep,) = analysis.verify_sweep(range(2, 9), ["lemma"], GridSpec(points=201), 5)
+print(repr(rep))
+"""
+EMPTY_CONJECTURE = ["verify", "--conjecture", "--n", "2", "--points", "3"]
+HUGE = "1000000000000"
+REFUSALS = {
+    "eval-grid": ["eval", "--op", "rn", "--fn", "sqrt", "--n", "200", "--grid-points", HUGE,
+                  "--out", "eval.csv"],
+    "compare-grid": ["compare", "--fn", "sqrt", "--n", "200", "--points", HUGE,
+                     "--out", "compare.csv"],
+    "sikkema-grid": ["scan", "--sikkema", "--n", "2", "--points", HUGE, "--workers", "1"],
+    "popoviciu-grid": ["scan", "--popoviciu", "--fn", "sqrt", "--n", "2", "--points", HUGE],
+    "n-range-letters": ["scan", "--sikkema", "--n", "a..b"],
+    "n-range-float": ["verify", "--lemma", "--n", "2..3.5"],
+}
 VERIFY = ["verify", "--lemma", "--kozniewska", "--conjecture", "--n6", "--n", "2..12",
           "--points", "501", "--c-samples", "5"]
 VERIFY_TOP = ["verify", "--lemma", "--kozniewska", "--conjecture", "--n", "195..200",
@@ -261,6 +290,10 @@ def digest(root: Path) -> None:
     where = fresh()
     (where / "const.csv").write_text("x,fx\n0,1\n1,1\n")
     run("refuse-constant-table", [*PBOP, *CONST_TABLE_SCAN], where)
+    run("lemma-strict-witness", [sys.executable, "-c", STRICT_WITNESS], fresh(), show=True)
+    run("refuse-empty-conjecture", [*PBOP, *EMPTY_CONJECTURE], fresh())
+    for name, cmd in REFUSALS.items():
+        run(f"refuse-{name}", [*PBOP, *cmd], fresh())
 
 
 if __name__ == "__main__":
