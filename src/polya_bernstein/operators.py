@@ -4,9 +4,9 @@ The urn-based operator family P_n^{x,1-x,c} with a pluggable replacement
 profile c(x): the paper's R_n under CProfile("rn"), c(x) = -min{x,1-x}/(n-1),
 and the classical Bernstein B_n at c = 0, CProfile("zero").  The curve over
 a grid forms the Bernstein basis directly where every c is 0; a point query
-has the bits of its one-point curve, and where c(x) != 0 builds one pmf
-column, not a sweep.  Also the grid-based modulus of continuity and sup-norm
-error/ratio profiling.
+has the bits of its one-point curve from one column, that basis where
+c(x) = 0 and else one pmf column, not a sweep.  Also the grid-based modulus
+of continuity and sup-norm error/ratio profiling.
 """
 
 from __future__ import annotations
@@ -156,25 +156,26 @@ _RN = CProfile("rn")
 
 def bernstein_eval(f: FunctionSpec, n: int, x: float) -> float:
     """Classical Bernstein polynomial sum f(k/n) C(n,k) x^k (1-x)^(n-k):
-    the zero-profile point of :func:`operator_curve`."""
+    the zero-profile :func:`polya_operator_eval`, on one Bernstein column."""
     return polya_operator_eval(f, n, x, _ZERO)
 
 
 def polya_operator_eval(f: FunctionSpec, n: int, x: float, profile: CProfile) -> float:
     """Urn operator P_n^{x,1-x,c(x)}(f; x) = E f(X_n / n), with the bits
-    and refusals of the one-point :func:`operator_curve`.  Where c(x) != 0
-    the column comes from :func:`validate` and the one-column pmf builder,
-    not from the sweep's :func:`pmf_matrix`."""
+    and refusals of the one-point :func:`operator_curve`: f(k/n) against
+    one column, the Bernstein basis where c(x) = 0, else the pmf column
+    that :func:`validate` admits and the one-column builder forms."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0,1], got {x}")
-    if profile.kind != "zero":
-        _check_size(n, 1)
-        x = float(x)
-        if c := profile.c_at(x, n):
-            validate(PolyaParams(n, x, 1.0 - x, c))
-            k = np.arange(n + 1, dtype=float)
-            return float((np.asarray(f(k / n)) @ _pmf_column(n, x, c))[0])
-    return float(operator_curve(f, n, np.array([x]), profile)[0])
+    _check_size(n, 1)
+    x = float(x)
+    k = np.arange(n + 1, dtype=float)
+    if c := profile.c_at(x, n):
+        validate(PolyaParams(n, x, 1.0 - x, c))
+        column = _pmf_column(n, x, c)[:, 0]
+    else:
+        column = _bernstein_basis(n, x, k)
+    return float(np.asarray(f(k / n)) @ column)
 
 
 def _check_size(n: int, points: int) -> None:
@@ -183,11 +184,16 @@ def _check_size(n: int, points: int) -> None:
     _check_cells((n + 1) * points, "an operator curve")
 
 
+def _bernstein_basis(n: int, x, k: np.ndarray) -> np.ndarray:
+    """C(n,k) x^k (1-x)^(n-k), broadcast over x and k; the row takes k's shape."""
+    return binomial_row(n).reshape(k.shape) * x ** k * (1.0 - x) ** (n - k)
+
+
 def operator_curve(f: FunctionSpec, n: int, xs: np.ndarray, profile: CProfile) -> np.ndarray:
     """Urn operator evaluated on a grid (vectorized over x).  Where every c
-    is 0 the pmf is the Bernstein basis C(n,k) x^k (1-x)^(n-k), products of
-    nonnegative factors summing to within 6e-14 of 1 up to n = 1029, so
-    :func:`pmf_matrix`, with its checks, serves only c != 0."""
+    is 0 the pmf is the Bernstein basis, products of nonnegative factors
+    summing to within 6e-14 of 1 up to n = 1029, so :func:`pmf_matrix`,
+    with its checks, serves only c != 0."""
     xs = np.asarray(xs, dtype=float)
     _check_size(n, xs.size)
     k = np.arange(n + 1, dtype=float)
@@ -195,7 +201,7 @@ def operator_curve(f: FunctionSpec, n: int, xs: np.ndarray, profile: CProfile) -
         probs = pmf_matrix(n, xs, cs)
     else:
         _check_unit_interval(xs)
-        probs = binomial_row(n)[:, None] * xs[None, :] ** k[:, None] * (1.0 - xs)[None, :] ** (n - k)[:, None]
+        probs = _bernstein_basis(n, xs[None, :], k[:, None])
     return np.asarray(f(k / n)) @ probs
 
 

@@ -34,6 +34,16 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+@st.composite
+def _tables(draw):
+    """function_from_samples tables on 2-6 knots, with values up to +-1e308."""
+    inner = draw(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+                          max_size=4, unique=True))
+    value = st.one_of(st.sampled_from([1e308, -1e308, 0.0]), st.floats(min_value=-1e308, max_value=1e308))
+    fx = draw(st.lists(value, min_size=len(inner) + 2, max_size=len(inner) + 2))
+    return function_from_samples([0.0, *sorted(inner), 1.0], fx)
+
+
 class TestBernstein:
     def test_preserves_constants(self):
         for n in (1, 5, 17):
@@ -180,20 +190,29 @@ class TestPolyaOperator:
         with pytest.raises(polya.AdmissibilityError, match="somewhere in the sweep"):
             operator_curve(f, 3, np.linspace(0.0, 1.0, 5), CProfile("constant", -0.01))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(
-        n=st.integers(min_value=1, max_value=200),
+        data=st.data(),
         x=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
-        kind=st.sampled_from(["rn", "constant"]),
+        kind=st.sampled_from(["rn", "constant", "zero", "bernstein_eval"]),
         u=st.floats(min_value=-0.2, max_value=5.0),
-        fn=st.sampled_from(sorted(BUILTIN_FUNCTIONS)),
+        f=st.one_of(st.sampled_from(sorted(BUILTIN_FUNCTIONS)).map(BUILTIN_FUNCTIONS.get), _tables()),
     )
-    def test_point_query_is_the_one_point_curve_bit_for_bit(self, n, x, kind, u, fn):
+    def test_point_query_is_the_one_point_curve_bit_for_bit(self, data, x, kind, u, f):
         # c(x) != 0 builds the one column, the curve a pmf_matrix column;
-        # a refused column is refused by validate there, by validate_sweep here
-        f, profile = BUILTIN_FUNCTIONS[fn], CProfile(kind, u)
-        got, want = (_outcome(lambda: polya_operator_eval(f, n, x, profile)),
-                     _outcome(lambda: operator_curve(f, n, np.array([x]), profile)[0]))
+        # a refused column is refused by validate there, by validate_sweep
+        # here.  The zero kind's Bernstein column is drawn past n = 1029,
+        # the float row's cap, and both sums run under pbop's error rules,
+        # so a +-1e308 table ends in the matmul's FloatingPointError.
+        ns = (st.integers(min_value=1, max_value=200) if kind in ("rn", "constant") else
+              st.one_of(st.sampled_from([1, 2, 1029, 1030]), st.integers(min_value=1, max_value=1031)))
+        n = data.draw(ns, label="n")
+        profile = CProfile("zero" if kind == "bernstein_eval" else kind, u)
+        query = (lambda: bernstein_eval(f, n, x)) if kind == "bernstein_eval" else (
+            lambda: polya_operator_eval(f, n, x, profile))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got, want = (_outcome(query),
+                         _outcome(lambda: operator_curve(f, n, np.array([x]), profile)[0]))
         if isinstance(want, tuple) and want[0] is polya.AdmissibilityError:
             assert isinstance(got, tuple) and got[0] is polya.AdmissibilityError
         else:

@@ -31,3 +31,12 @@ def test_kind_table_on_fixed_latencies():
 def test_kind_table_takes_one_slowest_query_below_a_hundred():
     rows = query_kinds.kind_table([(["a"], 1.0), (["b"], 3.0), (["a"], 2.0)])
     assert [(name, share) for name, *_, share in rows] == [("a", 0.0), ("b", 1.0)]
+
+
+def test_compare_table_pairs_each_figure_of_the_kinds_both_sides_have():
+    first = [("a", 10, 2.0, 9.0, 0.5), ("b", 10, 3.0, 8.0, 0.5), ("gone", 1, 1.0, 1.0, 0.0)]
+    second = [("a", 10, 1.5, 7.0, 0.25), ("b", 12, 3.5, 8.0, 0.75), ("new", 1, 1.0, 1.0, 0.0)]
+    assert query_kinds.compare_table(first, second) == [
+        ("a", (2.0, 1.5), (9.0, 7.0), (0.5, 0.25)),
+        ("b", (3.0, 3.5), (8.0, 8.0), (0.5, 0.75)),
+    ]

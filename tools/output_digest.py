@@ -27,11 +27,16 @@ The commands are taken from ``perfbench/`` and ``tests/`` next to this script:
   lemma's right side underflows and its log-ratio branch decides;
 * ``eval --op polya --c 0`` at one point and on a grid, and ``eval --op
   bernstein`` at one point: the c = 0 route of the operator;
+* in process, printed in the digest line: the ``repr`` (or the error) of
+  ``bernstein_eval``, and of ``polya_operator_eval`` under
+  ``CProfile("constant", 0.0)`` and ``CProfile("rn")``, of the sine at
+  n = 1, 2, 1029 and 1030 and x = 0, 0.3 and 1: the one-column route's
+  edges, the float binomial row's cap and the rn profile's n = 1 refusal;
 * refusals: ``eval --op polya --c 1e300 --n 1000``, whose pmf products
-  overflow; ``eval --op rn`` and ``compare`` on a table with values of
-  +-1e308; and, in process, the ``repr`` (or the error) of ``pmf`` a little
-  past the admissibility boundary and of ``factorial_ratio`` with a
-  negative numerator factor;
+  overflow; ``eval --op rn``, ``compare`` and a one-point ``eval --op
+  bernstein`` on a table with values of +-1e308; and, in process, the
+  ``repr`` (or the error) of ``pmf`` a little past the admissibility
+  boundary and of ``factorial_ratio`` with a negative numerator factor;
 * ``eval --op polya`` with a negative constant c at one admitted point;
 * in process, the ``repr`` (or the error) of the one-column pmf where its
   sum drifts (``pmf`` at n = 500, c = 1e300) and where its products
@@ -113,6 +118,7 @@ BIG_TABLE = "x,fx\n0,1e308\n0.5,-1e308\n1,1e308\n"
 BIG_TABLE_CMDS = (
     ["eval", "--op", "rn", "--fn-csv", "big.csv", "--n", "10", "--x", "0.3"],
     ["compare", "--fn-csv", "big.csv", "--n", "5", "--points", "11", "--out", "compare.csv"],
+    ["eval", "--op", "bernstein", "--fn-csv", "big.csv", "--n", "5", "--x", "0.3"],
 )
 # Prints the repr, or the error, of each expression.
 PAST_THE_BOUNDARY = """
@@ -165,6 +171,24 @@ try:
 except Exception as exc:
     print(type(exc).__name__, exc)
 """
+# Prints the repr, or the error, of the point query in argv[1] at each n and x
+# of the one-column route's edges.
+POINT_EDGES = """
+import sys
+from polya_bernstein.operators import CProfile, bernstein_eval, builtin_function, polya_operator_eval
+f = builtin_function("sin-pi")
+for n in (1, 2, 1029, 1030):
+    for x in (0.0, 0.3, 1.0):
+        try:
+            print(n, x, repr(eval(sys.argv[1])))
+        except Exception as exc:
+            print(n, x, type(exc).__name__, exc)
+"""
+POINT_EDGE_CALLS = {
+    "bernstein": "bernstein_eval(f, n, x)",
+    "constant-zero": "polya_operator_eval(f, n, x, CProfile('constant', 0.0))",
+    "rn": "polya_operator_eval(f, n, x, CProfile('rn'))",
+}
 CONST_TABLE_SCAN = ["scan", "--popoviciu", "--fn-csv", "const.csv", "--n", "2..5"]
 PB_WORKERS_VERIFY = ["verify", "--lemma", "--n", "2..3", "--points", "201"]
 # Prints the shape and the exact values of f_n_c_curve on each input.
@@ -270,6 +294,8 @@ def digest(root: Path) -> None:
             run(f"{name}-w{w}", [*PBOP, *cmd, "--workers", w], fresh())
     for i, cmd in enumerate(EVALS):
         run(f"eval[{i}]", [*PBOP, *cmd], fresh())
+    for name, call in POINT_EDGE_CALLS.items():
+        run(f"point-edges-{name}", [sys.executable, "-c", POINT_EDGES, call], fresh(), show=True)
     run("refuse-huge-c", [*PBOP, *HUGE_C], fresh())
     for i, cmd in enumerate(BIG_TABLE_CMDS):
         where = fresh()
